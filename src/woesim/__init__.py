@@ -84,6 +84,7 @@ from .rng import RngStream, splitmix64, substream_seed
 from .sampling import (
     Sample,
     SamplingPlan,
+    compress,
     draw_categorical,
     generate_sample,
     invert_cdf,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,6 +29,14 @@ JOINT_ENUMERATION_LIMIT = 10**6
 
 _SUM_TOL = 1e-9
 _SYNTH_MAX_REDRAWS = 200
+
+
+def bin_cdf(dist) -> np.ndarray:
+    """Read-only cumulative bin probabilities, the top edge pinned to exactly 1."""
+    cum = np.cumsum(np.asarray(dist, dtype=float))
+    cum[-1] = 1.0  # guard the top edge against accumulated rounding
+    cum.flags.writeable = False
+    return cum
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,12 @@ class ConfigSpec:
     @property
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(p.n_bins for p in self.predictors)
+
+    @cached_property
+    def bin_cdfs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per predictor, the (event, nonevent) ``bin_cdf`` tables the sampler
+        inverts; built on first use and kept with the config."""
+        return tuple((bin_cdf(p.p_event), bin_cdf(p.p_nonevent)) for p in self.predictors)
 
 
 @dataclass(frozen=True)

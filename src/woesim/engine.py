@@ -21,6 +21,7 @@ from .errors import DegenerateDesign, EmptyCell, NoEvents, NoNonevents
 from .metrics import (
     METRIC_F1,
     METRIC_P4,
+    check_cutoff_grid,
     confusion,
     default_cutoff_grid,
     f1,
@@ -29,7 +30,7 @@ from .metrics import (
     p4,
 )
 from .rng import RngStream
-from .sampling import SamplingPlan, generate_sample, make_plan
+from .sampling import SamplingPlan, compress, generate_sample, make_plan
 from .scorecard import estimate_woe, fit_logistic, predict_proba, transform
 
 #: Sample sizes the default grid sweeps.
@@ -69,6 +70,9 @@ class RunSpec:
         object.__setattr__(self, "configs", tuple(self.configs))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        if self.cutoff_grid is not None:
+            grid = check_cutoff_grid(self.cutoff_grid)
+            object.__setattr__(self, "cutoff_grid", tuple(float(c) for c in grid))
         if not self.configs:
             raise ValueError("RunSpec needs at least one config")
         if not self.sizes:
@@ -77,6 +81,11 @@ class RunSpec:
             raise ValueError("RunSpec needs at least one event rate")
         if any(not 0.0 < r < 1.0 for r in self.rates):
             raise ValueError("event rates must lie in (0, 1)")
+        # a repeated size or rate would run its cells twice and pool them
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sizes}")
+        if len(set(self.rates)) != len(self.rates):
+            raise ValueError(f"event rates must be distinct, got {self.rates}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.fixed_events is not None and self.fixed_events < 1:
@@ -153,7 +162,9 @@ def run_iteration(
     The training split alone fixes the WoE table and the coefficients; the
     validation split alone picks the F1 and P4 cutoffs; the test split is
     only ever scored, once per metric at its own cutoff and once
-    threshold-free for concordance.
+    threshold-free for concordance.  Past the WoE estimate every split is
+    handled as weighted joint cells (see ``compress``), which leaves every
+    count the metrics see unchanged.
     """
     if aiv is None:
         aiv = aggregate_iv(config).aiv
@@ -172,23 +183,26 @@ def run_iteration(
         test = generate_sample(config, plan, RngStream(master_seed, iteration, "test"))
 
         table = estimate_woe(train, config.bin_counts, theta_adj)
-        model = fit_logistic(transform(train, table), train.Y)
+        train, train_w = compress(train, config.bin_counts)
+        model = fit_logistic(transform(train, table), train.Y, train_w)
 
+        val, val_w = compress(val, config.bin_counts)
         probs_val = predict_proba(model, transform(val, table))
-        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, grid)
-        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, grid)
+        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, grid, val_w)
+        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, grid, val_w)
 
+        test, test_w = compress(test, config.bin_counts)
         probs_test = predict_proba(model, transform(test, table))
         return IterationRecord(
             converged=model.converged,
             theta_f1=cut_f1.theta,
             theta_p4=cut_p4.theta,
             f1_val=cut_f1.score,
-            f1_test=f1(confusion(probs_test, test.Y, cut_f1.theta)),
+            f1_test=f1(confusion(probs_test, test.Y, cut_f1.theta, test_w)),
             p4_val=cut_p4.score,
-            p4_test=p4(confusion(probs_test, test.Y, cut_p4.theta)),
-            gini_val=gini(probs_val, val.Y),
-            gini_test=gini(probs_test, test.Y),
+            p4_test=p4(confusion(probs_test, test.Y, cut_p4.theta, test_w)),
+            gini_val=gini(probs_val, val.Y, val_w),
+            gini_test=gini(probs_test, test.Y, test_w),
             **base,
         )
     except (NoEvents, NoNonevents, DegenerateDesign):
@@ -248,6 +262,8 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     identical to the serial run because every iteration's randomness is an
     addressable function of (master_seed, iteration, role).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = _plans_for(spec)
     aivs = {config.id: aggregate_iv(config).aiv for config in spec.configs}
     tasks = [
@@ -256,7 +272,7 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
         for config, plan in cells
     ]
     records: list[IterationRecord] = []
-    if workers <= 1:
+    if workers == 1:
         for task in tasks:
             records.extend(_run_cell(task))
     else:

@@ -4,7 +4,9 @@ grid-search cutoff optimization.
 Conventions fixed here because results at tiny sample sizes depend on them:
 an observation is classified positive when its score is >= the cutoff, and
 every 0/0 metric value collapses to 0 rather than propagating NaN into
-quantile summaries.
+quantile summaries.  Every count comes from one integer kernel over scores
+with optional integer row weights, a row of weight w counting exactly as w
+identical rows.
 """
 
 from __future__ import annotations
@@ -52,42 +54,94 @@ class CutoffResult:
     metric_id: str
 
 
-def _check_scores(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels)
     if p.ndim != 1 or y.ndim != 1 or p.shape != y.shape:
         raise ValueError(f"probs and labels must be equal-length vectors, got {p.shape} and {y.shape}")
     if p.size == 0:
         raise ValueError("need at least one observation")
-    return p, y
+    if weights is None:
+        return p, y, None
+    w = np.asarray(weights)
+    if w.shape != p.shape:
+        raise ValueError(f"weights must match probs in length, got {w.shape} and {p.shape}")
+    if w.dtype.kind not in "iu" or w.min() < 0:
+        raise ValueError("weights must be nonnegative integers")
+    return p, y, w
 
 
-def confusion(probs, labels, theta: float) -> ConfusionMatrix:
+def check_cutoff_grid(grid) -> np.ndarray:
+    """The grid as a float vector; refuses empty, unsorted or out-of-(0, 1) grids."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("cutoff grid must be a nonempty vector")
+    if np.any(np.diff(g) <= 0):
+        raise ValueError("cutoff grid must be strictly increasing")
+    if g[0] <= 0.0 or g[-1] >= 1.0:
+        raise ValueError("cutoff grid must lie strictly inside (0, 1)")
+    return g
+
+
+def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Counts per slot, events in row 0 and nonevents in row 1: the one
+    count kernel of this module.
+
+    ``w`` holds nonnegative integer row weights (None: one per row); a row
+    of weight w counts exactly as w identical rows.  Integer weights sum
+    exactly in bincount's float64 far beyond any sample size.
+    """
+    tally = np.bincount(slot + n_slots * (y != 1), w, minlength=2 * n_slots)
+    return tally.astype(np.int64, copy=False).reshape(2, n_slots)
+
+
+def _counts_at(probs, labels, weights, cutoffs: np.ndarray):
+    """tp/fp/fn/tn at each of the ascending cutoffs (positive when prob >= cutoff).
+
+    A row's slot is the number of cutoffs at or below its score, so it is
+    negative exactly at the cutoffs from its slot on.
+    """
+    p, y, w = _check_scores(probs, labels, weights)
+    slot = np.searchsorted(cutoffs, p, side="right")
+    below = _class_counts(slot, cutoffs.size + 1, y, w).cumsum(axis=1)
+    negative = below[:, :-1]
+    tp, fp = below[:, -1:] - negative
+    fn, tn = negative
+    return tp, fp, fn, tn
+
+
+def _f1_on_counts(tp, fp, fn) -> np.ndarray:
+    den = np.asarray(2 * tp + fp + fn)
+    out = np.zeros(den.shape, dtype=float)
+    np.divide(2 * tp, den, out=out, where=den > 0)
+    return out
+
+
+def _p4_on_counts(tp, fp, fn, tn) -> np.ndarray:
+    num = 4 * tp * tn
+    den = np.asarray(num + (tp + tn) * (fp + fn))
+    out = np.zeros(den.shape, dtype=float)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def confusion(probs, labels, theta: float, weights=None) -> ConfusionMatrix:
     """Tally the confusion matrix at one cutoff (positive when prob >= theta)."""
-    p, y = _check_scores(probs, labels)
-    pos = p >= theta
-    events = y == 1
-    tp = int(np.count_nonzero(pos & events))
-    fp = int(np.count_nonzero(pos & ~events))
-    fn = int(np.count_nonzero(~pos & events))
-    tn = int(np.count_nonzero(~pos & ~events))
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    tp, fp, fn, tn = _counts_at(probs, labels, weights, np.asarray([theta], dtype=float))
+    return ConfusionMatrix(tp=int(tp[0]), fp=int(fp[0]), fn=int(fn[0]), tn=int(tn[0]))
 
 
 def f1(cm: ConfusionMatrix) -> float:
     """Harmonic mean of recall and precision; 0 when nothing is positive."""
-    den = 2 * cm.tp + cm.fp + cm.fn
-    return 0.0 if den == 0 else 2 * cm.tp / den
+    return float(_f1_on_counts(cm.tp, cm.fp, cm.fn))
 
 
 def p4(cm: ConfusionMatrix) -> float:
     """Symmetric four-way extension of F1; 0 whenever its denominator vanishes."""
-    num = 4 * cm.tp * cm.tn
-    den = num + (cm.tp + cm.tn) * (cm.fp + cm.fn)
-    return 0.0 if den == 0 else num / den
+    return float(_p4_on_counts(cm.tp, cm.fp, cm.fn, cm.tn))
 
 
-def gini(probs, labels) -> float:
+def gini(probs, labels, weights=None) -> float:
     """Somers' D of scores against the binary response.
 
     (concordant - discordant) mixed-class pairs over all mixed-class pairs;
@@ -96,73 +150,25 @@ def gini(probs, labels) -> float:
     aggregated over groups of identical score values after one sort, so the
     result equals full O(n^2) pair enumeration exactly.
     """
-    p, y = _check_scores(probs, labels)
-    events = y == 1
-    n1 = int(np.count_nonzero(events))
-    n0 = p.size - n1
+    p, y, w = _check_scores(probs, labels, weights)
+    scores, group = np.unique(p, return_inverse=True)
+    e, g = _class_counts(group, scores.size, y, w)
+    n1, n0 = int(e.sum()), int(g.sum())
     if n1 == 0 or n0 == 0:
         raise DegenerateDesign("gini needs at least one event and one nonevent")
-    values, inverse = np.unique(p, return_inverse=True)
-    e = np.bincount(inverse[events], minlength=values.size).astype(np.int64)
-    g = np.bincount(inverse[~events], minlength=values.size).astype(np.int64)
     g_cum = np.cumsum(g)
-    g_below = g_cum - g
-    g_above = n0 - g_cum
-    concordant = int(np.sum(e * g_below))
-    discordant = int(np.sum(e * g_above))
+    concordant = int(np.sum(e * (g_cum - g)))
+    discordant = int(np.sum(e * (n0 - g_cum)))
     return (concordant - discordant) / (n1 * n0)
 
 
-def _counts_on_grid(p: np.ndarray, y: np.ndarray, grid: np.ndarray):
-    """tp/fp/fn/tn at every grid cutoff from a single sort.
-
-    searchsorted(left) counts scores strictly below each cutoff, which is
-    exactly the complement of the `>=` classification rule, so these counts
-    match per-cutoff `confusion` tallies bit for bit.
-    """
-    order = np.argsort(p, kind="stable")
-    sp = p[order]
-    sy = (y[order] == 1).astype(np.int64)
-    events_below = np.concatenate(([0], np.cumsum(sy)))
-    n = sp.size
-    n1 = int(events_below[-1])
-    idx = np.searchsorted(sp, grid, side="left")
-    tp = n1 - events_below[idx]
-    fn = n1 - tp
-    fp = (n - idx) - tp
-    tn = (n - n1) - fp
-    return tp, fp, fn, tn
-
-
-def _f1_on_counts(tp, fp, fn) -> np.ndarray:
-    den = 2 * tp + fp + fn
-    out = np.zeros(np.shape(den), dtype=float)
-    np.divide(2 * tp, den, out=out, where=den > 0)
-    return out
-
-
-def _p4_on_counts(tp, fp, fn, tn) -> np.ndarray:
-    num = 4 * tp * tn
-    den = num + (tp + tn) * (fp + fn)
-    out = np.zeros(np.shape(den), dtype=float)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
-
-
-def optimize_cutoff(probs, labels, metric_id: str, grid=None) -> CutoffResult:
+def optimize_cutoff(probs, labels, metric_id: str, grid=None, weights=None) -> CutoffResult:
     """Grid-search the cutoff maximizing F1 or P4 on the given scores.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
-    p, y = _check_scores(probs, labels)
-    g = default_cutoff_grid() if grid is None else np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("cutoff grid must be a nonempty vector")
-    if np.any(np.diff(g) <= 0):
-        raise ValueError("cutoff grid must be strictly increasing")
-    if g[0] <= 0.0 or g[-1] >= 1.0:
-        raise ValueError("cutoff grid must lie strictly inside (0, 1)")
-    tp, fp, fn, tn = _counts_on_grid(p, y, g)
+    g = default_cutoff_grid() if grid is None else check_cutoff_grid(grid)
+    tp, fp, fn, tn = _counts_at(probs, labels, weights, g)
     if metric_id == METRIC_F1:
         scores = _f1_on_counts(tp, fp, fn)
     elif metric_id == METRIC_P4:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .configs import ConfigSpec, EventRate
+from .configs import ConfigSpec, EventRate, bin_cdf
 from .errors import DegeneratePlan, InsufficientEvents
 from .rng import RngStream
 
@@ -97,6 +98,13 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
+def _search(cum: np.ndarray, u):
+    idx = np.searchsorted(cum, u, side="right")
+    if np.ndim(u) == 0:
+        return int(idx) + 1
+    return idx.astype(np.int64) + 1
+
+
 def invert_cdf(dist, u):
     """Map uniform variates in [0, 1) to 1-based bin indices.
 
@@ -104,12 +112,7 @@ def invert_cdf(dist, u):
     order, so a variate equal to an interior boundary falls in the bin to
     the boundary's right.
     """
-    cum = np.cumsum(np.asarray(dist, dtype=float))
-    cum[-1] = 1.0  # guard the top edge against accumulated rounding
-    idx = np.searchsorted(cum, u, side="right")
-    if np.ndim(u) == 0:
-        return int(idx) + 1
-    return idx.astype(np.int64) + 1
+    return _search(bin_cdf(dist), u)
 
 
 def draw_categorical(dist, rng: RngStream | np.random.Generator, size=None):
@@ -137,9 +140,41 @@ def generate_sample(
     gen = _as_generator(rng)
     n, n1 = plan.n, plan.n1
     X = np.empty((n, config.n_predictors), dtype=np.int64)
-    for j, pred in enumerate(config.predictors):
-        X[:n1, j] = draw_categorical(pred.p_event, gen, size=n1)
-        X[n1:, j] = draw_categorical(pred.p_nonevent, gen, size=n - n1)
+    for j, (cum_event, cum_nonevent) in enumerate(config.bin_cdfs):
+        X[:n1, j] = _search(cum_event, gen.random(n1))
+        X[n1:, j] = _search(cum_nonevent, gen.random(n - n1))
     Y = np.zeros(n, dtype=np.int64)
     Y[:n1] = 1
     return Sample(X=X, Y=Y)
+
+
+def compress(sample: Sample, bin_counts: Sequence[int]) -> tuple[Sample, np.ndarray]:
+    """Reduce a sample to one weighted row per observed (joint cell, class).
+
+    Rows with the same bins and class are interchangeable to every
+    estimator downstream, so a sample of n rows over K = prod(bin_counts)
+    joint cells carries the same information as per-cell event and
+    nonevent counts.  When K <= n the result holds one row per observed
+    (cell, class) pair, event rows first, each class in ascending cell
+    order, with its row count as int64 weight; bin indices outside
+    1..bin_counts[j] raise ``IndexError`` before any cell is encoded.  When
+    K > n reducing cannot pay, and the sample comes back as it is with
+    unit weights.
+    """
+    if len(bin_counts) != sample.d:
+        raise ValueError(
+            f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
+        )
+    n_cells = math.prod(bin_counts)
+    if n_cells > sample.n:
+        return sample, np.ones(sample.n, dtype=np.int64)
+    try:
+        # K <= n keeps the mixed-radix code far inside int64
+        code = np.ravel_multi_index(tuple(sample.X.T - 1), bin_counts)
+    except ValueError:
+        raise IndexError(f"bin index outside 1..{tuple(bin_counts)}") from None
+    # slot = cell for events, K + cell for nonevents
+    counts = np.bincount(code + n_cells * (sample.Y != 1), minlength=2 * n_cells)
+    slots = np.flatnonzero(counts)
+    X = np.column_stack(np.unravel_index(slots % n_cells, bin_counts)) + 1
+    return Sample(X=X, Y=slots < n_cells), counts[slots]

@@ -120,16 +120,22 @@ def transform(sample: Sample, table: WoeTable) -> np.ndarray:
 
 
 def _clamped_probs(eta: np.ndarray) -> np.ndarray:
-    eta = np.clip(eta, -LINEAR_PREDICTOR_CLAMP, LINEAR_PREDICTOR_CLAMP)
+    # minimum/maximum equal np.clip here and skip its Python-level dispatch
+    eta = np.minimum(np.maximum(eta, -LINEAR_PREDICTOR_CLAMP), LINEAR_PREDICTOR_CLAMP)
     return 1.0 / (1.0 + np.exp(-eta))
 
 
-def _loglik(y: np.ndarray, p: np.ndarray) -> float:
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray) -> float:
+    """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w`` as nonevents."""
+    return float(np.sum(event_w * np.log(p) + nonevent_w * np.log1p(-p)))
 
 
-def fit_logistic(features: np.ndarray, responses: np.ndarray) -> FittedModel:
+def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
     """Fit the Bernoulli MLE by Newton iterations with step halving.
+
+    ``weights`` (default: one per row) are nonnegative frequency weights:
+    a row of weight w counts as w identical rows, so a sample reduced to
+    weighted cells fits the same model as the rows behind it.
 
     Starts at beta = 0 and declares convergence when the score vector's
     max-norm drops under 1e-8 or the log-likelihood moves by less than
@@ -145,23 +151,32 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray) -> FittedModel:
     y = np.asarray(responses, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("responses length must match feature rows")
-    n_events = int(y.sum())
-    if n_events == 0 or n_events == len(y):
+    if weights is None:
+        w = np.ones(X.shape[0])
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != y.shape:
+            raise ValueError("weights length must match feature rows")
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise ValueError("weights must be finite and nonnegative")
+    event_w, nonevent_w = w * y, w * (1.0 - y)
+    event_weight = float(event_w.sum())
+    if event_weight == 0.0 or event_weight == float(w.sum()):
         raise DegenerateDesign("responses are all one class; MLE is unbounded")
 
     design = np.column_stack([np.ones(X.shape[0]), X])
     beta = np.zeros(design.shape[1])
-    ll = _loglik(y, _clamped_probs(design @ beta))
+    p = _clamped_probs(design @ beta)
+    ll = _loglik(event_w, nonevent_w, p)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        p = _clamped_probs(design @ beta)
-        grad = design.T @ (y - p)
+        grad = design.T @ (w * (y - p))
         if np.max(np.abs(grad)) < _GRAD_TOL:
             converged = True
             break
-        weights = p * (1.0 - p)
-        hessian = (design * weights[:, None]).T @ design
+        curvature = w * p * (1.0 - p)
+        hessian = (design * curvature[:, None]).T @ design
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
@@ -169,15 +184,17 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray) -> FittedModel:
             # minimum-norm ascent step instead
             step, *_ = np.linalg.lstsq(hessian, grad, rcond=None)
         new_beta = beta + step
-        new_ll = _loglik(y, _clamped_probs(design @ new_beta))
+        new_p = _clamped_probs(design @ new_beta)
+        new_ll = _loglik(event_w, nonevent_w, new_p)
         halvings = 0
         while new_ll < ll and halvings < _MAX_HALVINGS:
             step = 0.5 * step
             new_beta = beta + step
-            new_ll = _loglik(y, _clamped_probs(design @ new_beta))
+            new_p = _clamped_probs(design @ new_beta)
+            new_ll = _loglik(event_w, nonevent_w, new_p)
             halvings += 1
         moved = abs(new_ll - ll)
-        beta, ll = new_beta, new_ll
+        beta, p, ll = new_beta, new_p, new_ll
         if moved < _LOGLIK_TOL:
             converged = True
             break

@@ -42,6 +42,22 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             small_spec(fixed_events=0)
 
+    def test_duplicate_sizes_refused(self):
+        # (60, 60) used to run the n=60 cells twice and summarise n_iter=2x
+        with pytest.raises(ValueError, match="sizes must be distinct"):
+            small_spec(sizes=(60, 60))
+
+    def test_duplicate_rates_refused(self):
+        with pytest.raises(ValueError, match="rates must be distinct"):
+            small_spec(rates=(0.05, 0.1, 0.05))
+
+    def test_cutoff_grid_checked_up_front(self):
+        # used to fail only inside the first iteration
+        with pytest.raises(ValueError, match="inside"):
+            small_spec(cutoff_grid=(0.5, 1.0))
+        spec = small_spec(cutoff_grid=np.array([0.25, 0.5]))
+        assert spec.cutoff_grid == (0.25, 0.5)
+
 
 class TestRunIteration:
     def test_golden_record_is_stable(self):

@@ -189,6 +189,15 @@ class TestCli:
             "--iters", "1", "--out", str(out),
         ]) == 2
 
+    def test_run_rejects_zero_workers(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "B", "--rates", "0.1", "--sizes", "60",
+            "--iters", "1", "--workers", "0", "--out", str(out),
+        ]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_parallel_matches_serial_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["run", "--config", "A", "--rates", "0.1", "--sizes", "60,100",

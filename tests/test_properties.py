@@ -1,0 +1,154 @@
+"""Property tests: a weighted row counts exactly as that many replicated rows.
+
+The engine reduces every split to weighted joint cells (``compress``) and
+hands the weights to the fit and the metrics, so each of them must agree
+with the unweighted call on the rows the weights stand for.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import woesim as ws
+
+GRID = ws.default_cutoff_grid()
+
+
+@st.composite
+def weighted_scores(draw):
+    """1-25 scores on a coarse grid (many ties), 0/1 labels and weights 1..6."""
+    n = draw(st.integers(1, 25))
+    ints = st.lists(st.integers(0, 12), min_size=n, max_size=n)
+    probs = np.asarray(draw(ints), dtype=float) / 12.0
+    labels = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    weights = np.asarray(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    return probs, labels, weights
+
+
+def replicate(weights, *arrays):
+    return tuple(np.repeat(a, weights, axis=0) for a in arrays)
+
+
+@given(weighted_scores(), st.sampled_from(GRID))
+def test_weighted_confusion_equals_replicated_rows(data, theta):
+    probs, labels, weights = data
+    rows = replicate(weights, probs, labels)
+    assert ws.confusion(probs, labels, theta, weights) == ws.confusion(*rows, theta)
+
+
+@given(weighted_scores(), st.sampled_from([ws.METRIC_F1, ws.METRIC_P4]))
+def test_weighted_optimize_cutoff_equals_replicated_rows(data, metric):
+    probs, labels, weights = data
+    rows = replicate(weights, probs, labels)
+    assert ws.optimize_cutoff(probs, labels, metric, weights=weights) == ws.optimize_cutoff(
+        *rows, metric
+    )
+
+
+@given(weighted_scores())
+def test_weighted_gini_equals_replicated_rows(data):
+    probs, labels, weights = data
+    rows = replicate(weights, probs, labels)
+    if labels.min() == labels.max():
+        for args in ((probs, labels, weights), rows):
+            with pytest.raises(ws.DegenerateDesign):
+                ws.gini(*args)
+    else:
+        assert ws.gini(probs, labels, weights) == ws.gini(*rows)
+
+
+@given(weighted_scores(), st.sampled_from(GRID))
+def test_weighted_confusion_equals_masked_weight_sums(data, theta):
+    probs, labels, weights = data
+    pos, events = probs >= theta, labels == 1
+    expected = [int(weights[mask].sum()) for mask in
+                (pos & events, pos & ~events, ~pos & events, ~pos & ~events)]
+    cm = ws.confusion(probs, labels, theta, weights)
+    assert [cm.tp, cm.fp, cm.fn, cm.tn] == expected
+
+
+@st.composite
+def binned_samples(draw, max_rows=80):
+    """A sample over 1-3 predictors of 2-4 bins, holding both classes."""
+    bin_counts = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    n = draw(st.integers(2, max_rows))
+    X = np.column_stack([
+        draw(st.lists(st.integers(1, k), min_size=n, max_size=n)) for k in bin_counts
+    ])
+    Y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    Y[0], Y[1] = 1, 0
+    return ws.Sample(X=X, Y=Y), bin_counts
+
+
+@given(binned_samples())
+def test_compress_preserves_per_class_bin_counts(data):
+    sample, bin_counts = data
+    cells, weights = ws.compress(sample, bin_counts)
+    assert weights.dtype == np.int64 and weights.min() >= 1 and weights.sum() == sample.n
+    if math.prod(bin_counts) > sample.n:
+        assert cells is sample and np.all(weights == 1)
+    else:
+        keys = [(tuple(x), y) for x, y in zip(cells.X.tolist(), cells.Y.tolist())]
+        assert len(set(keys)) == len(keys)
+    replicated = ws.Sample(*replicate(weights, cells.X, cells.Y))
+    assert ws.estimate_woe(replicated, bin_counts) == ws.estimate_woe(sample, bin_counts)
+
+
+@given(binned_samples(), st.data())
+def test_compress_refuses_out_of_range_bins(data, draw):
+    sample, bin_counts = data
+    assume(math.prod(bin_counts) <= sample.n)
+    j = draw.draw(st.integers(0, sample.d - 1))
+    bad = draw.draw(st.sampled_from([0, -1, bin_counts[j] + 1]))
+    X = sample.X.copy()
+    X[draw.draw(st.integers(0, sample.n - 1)), j] = bad
+    with pytest.raises(IndexError):
+        ws.compress(ws.Sample(X=X, Y=sample.Y), bin_counts)
+
+
+@st.composite
+def weighted_designs(draw):
+    """Distinct integer design points, each observed in both classes.
+
+    Every point carrying both classes rules out separation, so the MLE is
+    finite and the fit converges to it.
+    """
+    d = draw(st.integers(1, 2))
+    n_points = draw(st.integers(d + 2, 7 if d == 1 else 8))
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=n_points, max_size=n_points, unique=True
+    ))
+    F = np.repeat(np.asarray(points, dtype=float), 2, axis=0)
+    y = np.tile([1.0, 0.0], n_points)
+    weights = np.asarray(draw(st.lists(st.integers(1, 30), min_size=2 * n_points, max_size=2 * n_points)))
+    return F, y, weights
+
+
+def _distance_to_mle(F, y, weights, beta) -> float:
+    """Newton's estimate of how far ``beta`` lies from the MLE: |H^-1 score|."""
+    design = np.column_stack([np.ones(len(F)), F])
+    p = 1.0 / (1.0 + np.exp(-(design @ np.asarray(beta))))
+    score = design.T @ (weights * (y - p))
+    hessian = (design * (weights * p * (1.0 - p))[:, None]).T @ design
+    return float(np.max(np.abs(np.linalg.solve(hessian, score))))
+
+
+@given(weighted_designs())
+def test_weighted_fit_matches_replicated_rows(data):
+    F, y, weights = data
+    weighted = ws.fit_logistic(F, y, weights)
+    replicated = ws.fit_logistic(*replicate(weights, F, y))
+    assert weighted.converged and replicated.converged
+    # Each fit stops a little short of the MLE: once its score is under
+    # 1e-8, or once rounding in the log-likelihood hides further ascent
+    # (sooner over replicated rows, whose sum has more terms).  Beyond that
+    # residual distance, measured at both final points, the two fits agree
+    # to 1e-9.
+    slack = _distance_to_mle(F, y, weights, weighted.beta) + _distance_to_mle(
+        F, y, weights, replicated.beta
+    )
+    np.testing.assert_allclose(weighted.beta, replicated.beta, rtol=0, atol=1e-9 + slack)
+    assert weighted.loglik == pytest.approx(replicated.loglik, rel=1e-12)

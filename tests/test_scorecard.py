@@ -211,7 +211,7 @@ class TestFitLogistic:
         design = np.column_stack([np.ones(n), F])
 
         def loglik(beta):
-            return _loglik(y, _clamped_probs(design @ beta))
+            return _loglik(y, 1.0 - y, _clamped_probs(design @ beta))
 
         h = 1e-6
         for _ in range(10):

@@ -154,7 +154,13 @@ def _cmd_guideline(args) -> int:
         points = sorted(
             {(r.aiv, r.median) for r in rows if r.event_rate == rate}
         )
-        fits[rate] = fit_logistic_curve(points)
+        fit = fit_logistic_curve(points)
+        print(
+            f"curve fit: rate {rate:g} L {fit.L:.6g} k {fit.k:.6g} x0 {fit.x0:.6g}"
+            f" rss {fit.rss:.3g} points {len(points)}",
+            file=sys.stderr,
+        )
+        fits[rate] = fit
     table = guideline_table(fits, aiv_grid=DEFAULT_AIV_GRID)
     io.save_guideline_csv(table, args.out)
     print(table.render())

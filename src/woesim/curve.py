@@ -43,66 +43,118 @@ class CurveFit:
         return float(out) if out.ndim == 0 else out
 
 
+#: Feasible box of (L, k, x0): 0 < L <= 1, k > 0, x0 free.
+_LOWER = np.array([_L_MIN, _K_MIN, -np.inf])
+_UPPER = np.array([1.0, np.inf, np.inf])
+
+
 def _project(theta: np.ndarray) -> np.ndarray:
-    return np.array([
-        min(max(theta[0], _L_MIN), 1.0),
-        max(theta[1], _K_MIN),
-        theta[2],
-    ])
+    """Clamp each row of an (S, 3) parameter array into the feasible box."""
+    return np.minimum(np.maximum(theta, _LOWER), _UPPER)
 
 
-def _model_and_jacobian(theta: np.ndarray, a: np.ndarray):
-    L, k, x0 = theta
-    s = 1.0 / (1.0 + np.exp(-k * (a - x0)))
-    f = L * s
+def _sigmoid(theta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-theta[:, 1:2] * (a - theta[:, 2:3])))
+
+
+def _sum_squares(r: np.ndarray) -> np.ndarray:
+    # stacked matmul runs the same dot kernel per row as the 1-D ``r @ r``;
+    # einsum and ``(r * r).sum(1)`` round differently
+    return np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+
+
+def _jacobian(theta: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(S, m, 3) model derivatives by L, k and x0, from the sigmoid values ``s``."""
+    L, k, x0 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
     ds = s * (1.0 - s)
-    J = np.column_stack([s, L * ds * (a - x0), -L * ds * k])
-    return f, J
+    J = np.empty(s.shape + (3,))
+    J[:, :, 0] = s
+    J[:, :, 1] = L * ds * (a - x0)
+    J[:, :, 2] = -L * ds * k
+    return J
 
 
-def _rss(theta: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
-    f, _ = _model_and_jacobian(theta, a)
-    r = y - f
-    return float(r @ r)
-
-
-def _damped_gauss_newton(a: np.ndarray, y: np.ndarray, start) -> tuple[np.ndarray, float]:
-    theta = _project(np.asarray(start, dtype=float))
-    rss = _rss(theta, a, y)
-    damping = 1e-3
-    for _ in range(_MAX_ITER):
-        f, J = _model_and_jacobian(theta, a)
-        r = y - f
-        g = J.T @ r
-        A = J.T @ J
-        accepted = False
-        for _ in range(40):
+def _solve(M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve each M[i] @ step[i] = g[i]; least squares only where M[i] is singular."""
+    try:
+        return np.linalg.solve(M, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(g)
+        for i in range(len(M)):
             try:
-                step = np.linalg.solve(A + damping * np.eye(3), g)
+                steps[i] = np.linalg.solve(M[i], g[i])
             except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(A + damping * np.eye(3), g, rcond=None)
-            candidate = _project(theta + step)
-            new_rss = _rss(candidate, a, y)
-            if np.isfinite(new_rss) and new_rss <= rss:
-                accepted = True
+                steps[i] = np.linalg.lstsq(M[i], g[i], rcond=None)[0]
+        return steps
+
+
+def _damped_gauss_newton(
+    a: np.ndarray, y: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one damped Gauss-Newton per row of ``starts`` (S, 3), all in lock step.
+
+    Every start keeps its own damping and stops on its own, when no damped
+    step lowers its RSS or when its improvement falls to ``_REL_TOL * rss``;
+    each row's arithmetic is that of a lone run.  Returns the final (S, 3)
+    parameters and (S,) RSS values.
+    """
+    theta = _project(np.asarray(starts, dtype=float))
+    s = _sigmoid(theta, a)
+    r = y - theta[:, 0:1] * s
+    rss = _sum_squares(r)
+    out_theta, out_rss = theta.copy(), rss.copy()
+    # state of the running starts only; ``rows`` maps them to ``starts``
+    rows = np.arange(len(theta))
+    damping = np.full(len(theta), 1e-3)
+    eye = np.eye(3)
+    for _ in range(_MAX_ITER):
+        J = _jacobian(theta, s, a)
+        JT = J.transpose(0, 2, 1)
+        g = (JT @ r[:, :, None])[:, :, 0]
+        A = JT @ J
+        pending = np.arange(len(rows))  # starts with no accepted step yet
+        keep = np.zeros(len(rows), dtype=bool)
+        for _ in range(40):
+            step = _solve(A[pending] + damping[pending, None, None] * eye, g[pending])
+            cand = _project(theta[pending] + step)
+            cand_s = _sigmoid(cand, a)
+            cand_r = y - cand[:, 0:1] * cand_s
+            new_rss = _sum_squares(cand_r)
+            ok = np.isfinite(new_rss) & (new_rss <= rss[pending])
+            won = pending[ok]
+            improvement = rss[won] - new_rss[ok]
+            theta[won], s[won], r[won], rss[won] = cand[ok], cand_s[ok], cand_r[ok], new_rss[ok]
+            damping[won] = np.maximum(damping[won] / 3.0, 1e-12)
+            keep[won] = improvement > _REL_TOL * np.maximum(rss[won], 1e-300)
+            pending = pending[~ok]
+            damping[pending] *= 10.0
+            if pending.size == 0:
                 break
-            damping *= 10.0
-        if not accepted:
-            break
-        improvement = rss - new_rss
-        theta, rss = candidate, new_rss
-        damping = max(damping / 3.0, 1e-12)
-        if improvement <= _REL_TOL * max(rss, 1e-300):
-            break
-    return theta, rss
+        if not keep.all():
+            out_theta[rows], out_rss[rows] = theta, rss
+            rows, theta, s, r, rss, damping = (
+                v[keep] for v in (rows, theta, s, r, rss, damping)
+            )
+            if rows.size == 0:
+                break
+    out_theta[rows], out_rss[rows] = theta, rss
+    return out_theta, out_rss
+
+
+def _lattice_starts(a: np.ndarray) -> np.ndarray:
+    """Ceiling and slope presets crossed with the data quartiles as midpoints."""
+    x0_starts = np.quantile(a, (0.25, 0.50, 0.75))
+    return np.array(list(product(_L_STARTS, _K_STARTS, x0_starts)))
 
 
 def fit_logistic_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     """Fit the bounded logistic curve to (strength, score) points.
 
     Damped Gauss-Newton from a small multi-start lattice (ceiling and slope
-    presets crossed with the data quartiles as midpoints); the best
-    converged start wins.
+    presets crossed with the data quartiles as midpoints), all starts run
+    as one batch.  The start with the lowest finite RSS wins, ties going
+    to the first in lattice order; a start that stopped at the iteration
+    cap competes like any other, since convergence is not checked.
     """
     pts = [(float(a), float(v)) for a, v in points]
     if len(pts) < 4:
@@ -112,18 +164,13 @@ def fit_logistic_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     if np.unique(a).size != a.size:
         raise InsufficientPoints("curve fit needs distinct strength values")
 
-    x0_starts = np.quantile(a, (0.25, 0.50, 0.75))
-    best: tuple[np.ndarray, float] | None = None
-    for L0, k0, x00 in product(_L_STARTS, _K_STARTS, x0_starts):
-        theta, rss = _damped_gauss_newton(a, y, (L0, k0, x00))
-        if not (np.all(np.isfinite(theta)) and np.isfinite(rss)):
-            continue
-        if best is None or rss < best[1]:
-            best = (theta, rss)
-    if best is None:
+    theta, rss = _damped_gauss_newton(a, y, _lattice_starts(a))
+    finite = np.flatnonzero(np.all(np.isfinite(theta), axis=1) & np.isfinite(rss))
+    if finite.size == 0:
         raise CurveFitError("all curve-fit starts diverged")
-    theta, rss = best
-    return CurveFit(L=float(theta[0]), k=float(theta[1]), x0=float(theta[2]), rss=rss)
+    best = finite[np.argmin(rss[finite])]
+    L, k, x0 = theta[best]
+    return CurveFit(L=float(L), k=float(k), x0=float(x0), rss=float(rss[best]))
 
 
 @dataclass(frozen=True)

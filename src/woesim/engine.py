@@ -276,8 +276,11 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
         for task in tasks:
             records.extend(_run_cell(task))
     else:
+        # heaviest cells first, so no large cell starts last and leaves
+        # the other workers idle; the stable sort keeps ties in grid order
+        queued = sorted(tasks, key=lambda task: task[1].n, reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_cell, tasks):
+            for chunk in pool.map(_run_cell, queued):
                 records.extend(chunk)
     records.sort(key=IterationRecord.sort_key)
     return records

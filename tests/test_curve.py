@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import woesim as ws
+from woesim import curve
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 
@@ -11,6 +14,31 @@ AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 ROW_1PCT = (0.06, 0.07, 0.09, 0.11, 0.13, 0.16, 0.19, 0.23, 0.27, 0.32, 0.37, 0.42, 0.47, 0.52)
 ROW_5PCT = (0.19, 0.23, 0.27, 0.32, 0.36, 0.41, 0.47, 0.52, 0.57, 0.61, 0.65, 0.69, 0.73, 0.76)
 ROW_10PCT = (0.28, 0.32, 0.38, 0.43, 0.48, 0.54, 0.59, 0.64, 0.68, 0.72, 0.76, 0.79, 0.81, 0.84)
+
+# test-F1 medians at 1% and small n: a step on which every start runs to the 200-step cap
+STEP_POINTS = [
+    (0.37651121044153874, 0.0), (2.286914132726315, 0.0),
+    (5.3631390202657725, 0.0), (16.509983110484303, 1.0),
+]
+NOISY_POINTS = [
+    (1.6656, 0.2199), (1.6778, 0.2229), (3.0329, 0.3786), (3.1529, 0.378),
+    (3.898, 0.4086), (5.2273, 0.5139), (6.387, 0.619), (7.2696, 0.6509),
+]
+CONSTANT_POINTS = [(a, 0.5) for a in (1.0, 2.0, 3.0, 4.0, 5.0)]
+
+# exact (L, k, x0, rss) of each fit; guideline CSVs are byte-identical only while these hold
+GOLDEN_FITS = [
+    (STEP_POINTS, "(1.0, 3.540639850666155, 10.615269974984214, 7.118142666705218e-17)"),
+    (list(zip(AIV_GRID, ROW_1PCT)),
+     "(0.8934853941705236, 0.4644978569711142, 6.273066494248469, 5.265433362012919e-05)"),
+    (list(zip(AIV_GRID, ROW_5PCT)),
+     "(0.8993214442584738, 0.45785265378840434, 3.343798029139634, 0.0001639252186438699)"),
+    (list(zip(AIV_GRID, ROW_10PCT)),
+     "(0.9323437403222213, 0.46518983575505396, 2.3395779721455074, 0.00012677656668636422)"),
+    (NOISY_POINTS,
+     "(0.7403456884673353, 0.48945403056780085, 3.2658158623876337, 0.002369602346455295)"),
+    (CONSTANT_POINTS, "(0.9999999999817709, 1e-08, 2.995809995131487, 6.250000766155205e-17)"),
+]
 
 
 def rss_gradient(fit, points):
@@ -37,11 +65,17 @@ class TestFitLogisticCurve:
         assert fit.x0 == pytest.approx(4.0, abs=1e-6)
         assert fit.rss < 1e-12
 
-    def test_constant_data_degenerates_to_flat_curve(self):
-        points = [(a, 0.5) for a in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    @pytest.mark.parametrize(
+        "points, expected", GOLDEN_FITS, ids=["step", "1pct", "5pct", "10pct", "noisy", "constant"]
+    )
+    def test_golden_fit_values(self, points, expected):
         fit = ws.fit_logistic_curve(points)
+        assert repr((fit.L, fit.k, fit.x0, fit.rss)) == expected
+
+    def test_constant_data_degenerates_to_flat_curve(self):
+        fit = ws.fit_logistic_curve(CONSTANT_POINTS)
         assert fit.rss <= 1e-10
-        for a, _ in points:
+        for a, _ in CONSTANT_POINTS:
             assert fit.predict(a) == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("row", [ROW_1PCT, ROW_5PCT, ROW_10PCT])
@@ -76,6 +110,57 @@ class TestFitLogisticCurve:
             ws.fit_logistic_curve([(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)])
         with pytest.raises(ws.InsufficientPoints):
             ws.fit_logistic_curve([(1.0, 0.1), (1.0, 0.2), (3.0, 0.3), (4.0, 0.4)])
+
+
+@st.composite
+def curve_points(draw):
+    """4-9 distinct strengths with scores in [0, 1], often exactly 0 or 1 (step-shaped)."""
+    strengths = draw(st.lists(
+        st.floats(0.1, 17.0, allow_nan=False), min_size=4, max_size=9, unique=True
+    ))
+    scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
+    values = draw(st.lists(scores, min_size=len(strengths), max_size=len(strengths)))
+    return sorted(zip(strengths, values))
+
+
+def same(x, y):
+    """Bitwise equality of float arrays, NaN included."""
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestLockStepStarts:
+    @settings(max_examples=15)
+    @given(curve_points())
+    def test_starts_never_couple(self, points):
+        a = np.asarray([p[0] for p in points])
+        y = np.asarray([p[1] for p in points])
+        starts = curve._lattice_starts(a)
+        theta, rss = curve._damped_gauss_newton(a, y, starts)
+        best = None
+        for i in range(len(starts)):
+            alone_theta, alone_rss = curve._damped_gauss_newton(a, y, starts[i:i + 1])
+            assert same(alone_theta[0], theta[i]) and same(alone_rss[0], rss[i])
+            finite = np.all(np.isfinite(alone_theta)) and np.isfinite(alone_rss[0])
+            if finite and (best is None or alone_rss[0] < best[1]):
+                best = (alone_theta[0], alone_rss[0])
+        fit = ws.fit_logistic_curve(points)
+        assert (fit.L, fit.k, fit.x0, fit.rss) == (*best[0].tolist(), float(best[1]))
+
+    def test_lattice_order(self):
+        starts = curve._lattice_starts(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert starts.shape == (27, 3)
+        assert starts[0].tolist() == [0.5, 0.2, 2.0]
+        assert starts[1].tolist() == [0.5, 0.2, 3.0]
+        assert starts[3].tolist() == [0.5, 0.5, 2.0]
+        assert starts[-1].tolist() == [1.0, 1.0, 4.0]
+
+    def test_singular_matrix_alone_falls_back_to_least_squares(self):
+        M = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 4.0, 8.0])])
+        g = np.array([[2.0, 4.0, 6.0], [1.0, 1.0, 1.0], [1.0, 4.0, 8.0]])
+        steps = curve._solve(M, g)
+        assert same(steps[0], np.linalg.solve(M[0], g[0]))
+        assert same(steps[1], np.linalg.lstsq(M[1], g[1], rcond=None)[0])
+        assert same(steps[2], np.linalg.solve(M[2], g[2]))
 
 
 @pytest.fixture(scope="module")

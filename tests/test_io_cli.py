@@ -223,6 +223,35 @@ class TestCli:
         assert float(rate) == 0.01 and float(aiv) == 0.5
         assert float(value) == pytest.approx(curves[0.01].predict(0.5), abs=1e-4)
 
+    def test_guideline_reports_each_curve_fit_on_stderr(self, tmp_path, capsys):
+        rows, curves = synthetic_summary_rows()
+        summary = tmp_path / "summary.csv"
+        guideline = tmp_path / "guideline.csv"
+        io.save_summary_csv(rows, summary)
+        assert cli.main([
+            "guideline", "--in", str(summary), "--n", "2500",
+            "--metric", "f1", "--out", str(guideline),
+        ]) == 0
+        captured = capsys.readouterr()
+        fits = {
+            rate: ws.fit_logistic_curve([(r.aiv, r.median) for r in rows if r.event_rate == rate])
+            for rate in curves
+        }
+        # stdout carries the table and the path only
+        assert captured.out == (
+            f"{ws.guideline_table(fits).render()}\nwrote guideline table to {guideline}\n"
+        )
+        lines = captured.err.splitlines()
+        assert len(lines) == len(curves)
+        for line, (rate, fit) in zip(lines, sorted(fits.items())):
+            assert line == (
+                f"curve fit: rate {rate:g} L {fit.L:.6g} k {fit.k:.6g} x0 {fit.x0:.6g}"
+                f" rss {fit.rss:.3g} points 5"
+            )
+            fields = line.split()
+            assert float(fields[5]) == pytest.approx(curves[rate].L, abs=1e-4)
+            assert float(fields[9]) == pytest.approx(curves[rate].x0, abs=1e-3)
+
     def test_guideline_without_matching_rows_exits_3(self, tmp_path):
         rows, _ = synthetic_summary_rows()
         summary = tmp_path / "summary.csv"

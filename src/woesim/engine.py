@@ -81,7 +81,11 @@ class RunSpec:
             raise ValueError("RunSpec needs at least one event rate")
         if any(not 0.0 < r < 1.0 for r in self.rates):
             raise ValueError("event rates must lie in (0, 1)")
-        # a repeated size or rate would run its cells twice and pool them
+        # a repeated config id, size or rate would run its cells twice and
+        # pool them; configs sharing an id would also share one AIV
+        ids = tuple(config.id for config in self.configs)
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"config ids must be distinct, got {ids}")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError(f"sample sizes must be distinct, got {self.sizes}")
         if len(set(self.rates)) != len(self.rates):

@@ -51,6 +51,15 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="rates must be distinct"):
             small_spec(rates=(0.05, 0.1, 0.05))
 
+    def test_duplicate_config_ids_refused(self):
+        # (B, B) used to run every cell twice; two configs sharing an id
+        # were both recorded with the second one's AIV
+        with pytest.raises(ValueError, match="config ids must be distinct"):
+            small_spec(configs=(ws.CONFIG_B, ws.CONFIG_B))
+        renamed_a = ws.ConfigSpec(id="B", predictors=ws.CONFIG_A.predictors)
+        with pytest.raises(ValueError, match="config ids must be distinct"):
+            small_spec(configs=(ws.CONFIG_B, renamed_a))
+
     def test_cutoff_grid_checked_up_front(self):
         # used to fail only inside the first iteration
         with pytest.raises(ValueError, match="inside"):

@@ -1,6 +1,8 @@
 """File formats, chart emission, and the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import woesim as ws
 from woesim import cli, io
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_records():
@@ -115,6 +118,20 @@ class TestSummaryCsv:
         )
 
 
+def test_readme_file_formats_match_written_headers(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## File formats", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        name: re.search(rf"\*\*{name} CSV\*\*[^`]*`([^`]+)`", section).group(1)
+        for name in ("Results", "Summary")
+    }
+    written = {}
+    for name, save in (("Results", io.save_results_csv), ("Summary", io.save_summary_csv)):
+        path = tmp_path / f"{name}.csv"
+        save([], path)
+        written[name] = path.read_text(encoding="utf-8").rstrip("\r\n")
+    assert documented == written
+
+
 class TestCharts:
     def test_svg_has_band_and_median_per_rate(self):
         summary = ws.summarize(tiny_records())
@@ -196,6 +213,15 @@ class TestCli:
             "--iters", "1", "--workers", "0", "--out", str(out),
         ]) == 2
         assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_rejects_repeated_config_id(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "A", "--config", "A", "--rates", "0.1", "--sizes", "60",
+            "--iters", "2", "--out", str(out),
+        ]) == 2
+        assert "config ids must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_parallel_matches_serial_bytes(self, tmp_path):

@@ -1,11 +1,17 @@
-"""Property tests: a weighted row counts exactly as that many replicated rows.
+"""Property tests.
 
-The engine reduces every split to weighted joint cells (``compress``) and
-hands the weights to the fit and the metrics, so each of them must agree
-with the unweighted call on the rows the weights stand for.
+A weighted row counts exactly as that many replicated rows: the engine
+reduces every split to weighted joint cells (``compress``) and hands the
+weights to the fit and the metrics, so each of them must agree with the
+unweighted call on the rows the weights stand for.  The results and
+summary CSVs round-trip any record, and the config synthesiser either hits
+its target or says it cannot.
 """
 
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import woesim as ws
+from woesim import io
 
 GRID = ws.default_cutoff_grid()
 
@@ -152,3 +159,68 @@ def test_weighted_fit_matches_replicated_rows(data):
     )
     np.testing.assert_allclose(weighted.beta, replicated.beta, rtol=0, atol=1e-9 + slack)
     assert weighted.loglik == pytest.approx(replicated.loglik, rel=1e-12)
+
+
+# Text that CSV must quote or that is not ASCII, mixed into arbitrary text.
+_AWKWARD_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(["", "a,b", 'say "hi"', "cr\rlf\nboth\r\n", "naïve ✓ 模型", " lead"]),
+)
+# Floats with NaN, +-inf, -0.0 and subnormals.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+)
+_STRATEGY_BY_TYPE = {
+    "str": _AWKWARD_TEXT,
+    "int": st.integers(-(2**63), 2**63),
+    "float": _ANY_FLOAT,
+    "bool": st.booleans(),
+}
+
+
+def _records_of(cls):
+    fields = {f.name: _STRATEGY_BY_TYPE[f.type] for f in dataclasses.fields(cls)}
+    return st.lists(st.builds(cls, **fields), max_size=5)
+
+
+def _field_reprs(records):
+    return [[repr(getattr(r, f.name)) for f in dataclasses.fields(r)] for r in records]
+
+
+@pytest.mark.parametrize(
+    "cls, save, load",
+    [
+        (ws.IterationRecord, io.save_results_csv, io.load_results_csv),
+        (ws.SummaryRecord, io.save_summary_csv, io.load_summary_csv),
+    ],
+    ids=["results", "summary"],
+)
+@given(data=st.data())
+def test_csv_save_load_save_round_trips_any_record(cls, save, load, data):
+    records = data.draw(_records_of(cls))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        save(records, first)
+        loaded = load(first)
+        save(loaded, second)
+        # NaN != NaN, so the records are compared through their field reprs
+        assert _field_reprs(loaded) == _field_reprs(records)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@given(
+    bins=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    # up to 30, so that few bins sometimes cannot reach the target
+    target=st.floats(0.01, 30.0),
+    tol=st.floats(0.005, 0.5),
+    seed=st.integers(0, 2**32),
+)
+def test_synthesize_config_hits_target_or_raises(bins, target, tol, seed):
+    stream = ws.RngStream(seed, 0, "synth")
+    try:
+        config = ws.synthesize_config(len(bins), bins, target, tol, stream)
+    except ws.TargetUnreachable:
+        return
+    assert config.bin_counts == tuple(bins)
+    assert abs(ws.aggregate_iv(config).aiv - target) <= tol

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -210,19 +210,9 @@ def run_iteration(
             **base,
         )
     except (NoEvents, NoNonevents, DegenerateDesign):
-        nan = float("nan")
-        return IterationRecord(
-            converged=False,
-            theta_f1=nan,
-            theta_p4=nan,
-            f1_val=nan,
-            f1_test=nan,
-            p4_val=nan,
-            p4_test=nan,
-            gini_val=nan,
-            gini_test=nan,
-            **base,
-        )
+        base["converged"] = False
+        metrics = {f.name: math.nan for f in fields(IterationRecord) if f.name not in base}
+        return IterationRecord(**base, **metrics)
 
 
 def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:

@@ -7,24 +7,18 @@ back to the identical double, so save/load round-trips are lossless.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .configs import BUILTIN_CONFIGS, ConfigSpec, PredictorSpec
 from .curve import GuidelineTable
 from .engine import IterationRecord, SummaryRecord
 from .errors import ConfigError, SchemaError
 
-RESULTS_HEADER = [
-    "config_id", "aiv", "n", "event_rate", "iteration", "clamped", "converged",
-    "theta_f1", "theta_p4", "f1_val", "f1_test", "p4_val", "p4_test",
-    "gini_val", "gini_test",
-]
-SUMMARY_HEADER = [
-    "config_id", "aiv", "n", "event_rate", "metric", "split",
-    "median", "q25", "q75", "p05", "p95", "n_iter", "n_nonconverged",
-]
 GUIDELINE_HEADER = ["event_rate", "aiv", "predicted_median"]
 
 _CONFIG_KEYS = {"id", "predictors"}
@@ -113,12 +107,8 @@ def resolve_config(spec: str) -> ConfigSpec:
     raise ConfigError(f"{spec!r} is neither a built-in config id nor an existing file")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt_bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _parse_bool(text: str) -> bool:
@@ -129,78 +119,79 @@ def _parse_bool(text: str) -> bool:
     raise SchemaError(f"expected 'true' or 'false', got {text!r}")
 
 
-def _check_header(path, row, expected: Sequence[str]) -> None:
-    if row != list(expected):
-        raise SchemaError(f"{path}: bad header {row!r}, expected {list(expected)!r}")
+#: (formatter, parser) per record field type; the types are the annotation
+#: strings that ``from __future__ import annotations`` leaves in
+#: ``dataclasses.fields``.  ``repr`` is the shortest string that parses back
+#: to the same double (``nan``, ``inf`` and ``-0.0`` included).
+_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (repr, float),
+    "bool": (_fmt_bool, _parse_bool),
+}
+
+
+def _columns(cls) -> tuple[list[str], list[tuple]]:
+    """A record dataclass's CSV header (its field names, in order) and codecs."""
+    fields = dataclasses.fields(cls)
+    return [f.name for f in fields], [_CODECS[f.type] for f in fields]
+
+
+# built at import, so a field type without a codec fails here, not on a write
+_COLUMNS = {cls: _columns(cls) for cls in (IterationRecord, SummaryRecord)}
+# rows are formatted and parsed a column at a time in chunks of this many,
+# which keeps the per-value calls in C while holding one chunk's strings
+_CHUNK_ROWS = 64
+
+
+def _save_records(cls, records: Iterable, path) -> None:
+    header, codecs = _COLUMNS[cls]
+    values = map(attrgetter(*header), records)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        while chunk := list(islice(values, _CHUNK_ROWS)):
+            columns = [map(fmt, column) for (fmt, _), column in zip(codecs, zip(*chunk))]
+            writer.writerows(zip(*columns))
+
+
+def _load_records(cls, path) -> list:
+    header, codecs = _COLUMNS[cls]
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        row = next(reader, [])
+        if row != header:
+            raise SchemaError(f"{path}: bad header {row!r}, expected {header!r}")
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            for row in rows:
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: row has {len(row)} fields, expected {len(header)}"
+                    )
+            columns = [map(parse, column) for (_, parse), column in zip(codecs, zip(*rows))]
+            records.extend(cls(*values) for values in zip(*columns))
+    return records
 
 
 def save_results_csv(records: Iterable[IterationRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in records:
-            writer.writerow([
-                r.config_id, _fmt(r.aiv), r.n, _fmt(r.event_rate), r.iteration,
-                _fmt(r.clamped), _fmt(r.converged), _fmt(r.theta_f1),
-                _fmt(r.theta_p4), _fmt(r.f1_val), _fmt(r.f1_test),
-                _fmt(r.p4_val), _fmt(r.p4_test), _fmt(r.gini_val),
-                _fmt(r.gini_test),
-            ])
+    _save_records(IterationRecord, records, path)
 
 
 def load_results_csv(path) -> list[IterationRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, []), RESULTS_HEADER)
-        for row in reader:
-            if len(row) != len(RESULTS_HEADER):
-                raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(RESULTS_HEADER)}")
-            records.append(IterationRecord(
-                config_id=row[0], aiv=float(row[1]), n=int(row[2]),
-                event_rate=float(row[3]), iteration=int(row[4]),
-                clamped=_parse_bool(row[5]), converged=_parse_bool(row[6]),
-                theta_f1=float(row[7]), theta_p4=float(row[8]),
-                f1_val=float(row[9]), f1_test=float(row[10]),
-                p4_val=float(row[11]), p4_test=float(row[12]),
-                gini_val=float(row[13]), gini_test=float(row[14]),
-            ))
-    return records
+    return _load_records(IterationRecord, path)
 
 
 def save_summary_csv(records: Iterable[SummaryRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for r in records:
-            writer.writerow([
-                r.config_id, _fmt(r.aiv), r.n, _fmt(r.event_rate), r.metric,
-                r.split, _fmt(r.median), _fmt(r.q25), _fmt(r.q75),
-                _fmt(r.p05), _fmt(r.p95), r.n_iter, r.n_nonconverged,
-            ])
+    _save_records(SummaryRecord, records, path)
 
 
 def load_summary_csv(path) -> list[SummaryRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(path, next(reader, []), SUMMARY_HEADER)
-        for row in reader:
-            if len(row) != len(SUMMARY_HEADER):
-                raise SchemaError(f"{path}: row has {len(row)} fields, expected {len(SUMMARY_HEADER)}")
-            records.append(SummaryRecord(
-                config_id=row[0], aiv=float(row[1]), n=int(row[2]),
-                event_rate=float(row[3]), metric=row[4], split=row[5],
-                median=float(row[6]), q25=float(row[7]), q75=float(row[8]),
-                p05=float(row[9]), p95=float(row[10]), n_iter=int(row[11]),
-                n_nonconverged=int(row[12]),
-            ))
-    return records
+    return _load_records(SummaryRecord, path)
 
 
 def save_guideline_csv(table: GuidelineTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GUIDELINE_HEADER)
-        for rate, aiv, value in table.rows():
-            writer.writerow([_fmt(rate), _fmt(aiv), _fmt(value)])
+        writer.writerows(map(repr, row) for row in table.rows())

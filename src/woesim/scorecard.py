@@ -47,13 +47,13 @@ class FittedModel:
     loglik: float
 
 
-def adjusted_woe(
-    n0jk: float, n1jk: float, n0: int, n1: int, theta_adj: float
-) -> float:
-    """Adjusted WoE for one bin: ln[((n0jk + t)/n0) / ((n1jk + t)/n1)]."""
-    return float(
-        np.log((n0jk + theta_adj) / n0) - np.log((n1jk + theta_adj) / n1)
-    )
+def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
+    """Adjusted WoE of a bin: ln[((n0jk + t)/n0) / ((n1jk + t)/n1)].
+
+    The bin counts may be scalars or arrays (one entry per bin); the result
+    is a numpy float or an array of the same shape.
+    """
+    return np.log((n0jk + theta_adj) / n0) - np.log((n1jk + theta_adj) / n1)
 
 
 def estimate_woe(
@@ -90,10 +90,9 @@ def estimate_woe(
                 )
             c1 = np.bincount(col[event_mask] - 1, minlength=n_bins)
             c0 = np.bincount(col[~event_mask] - 1, minlength=n_bins)
-            w = np.log((c0 + theta_adj) / n0) - np.log((c1 + theta_adj) / n1)
-            woe.append(tuple(float(v) for v in w))
-            c1s.append(tuple(int(v) for v in c1))
-            c0s.append(tuple(int(v) for v in c0))
+            woe.append(tuple(adjusted_woe(c0, c1, n0, n1, theta_adj).tolist()))
+            c1s.append(tuple(c1.tolist()))
+            c0s.append(tuple(c0.tolist()))
     return WoeTable(
         woe=tuple(woe),
         event_counts=tuple(c1s),

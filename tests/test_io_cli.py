@@ -94,6 +94,14 @@ class TestResultsCsv:
             "theta_f1,theta_p4,f1_val,f1_test,p4_val,p4_test,gini_val,gini_test"
         )
 
+    def test_round_trip_across_row_chunks(self, tmp_path):
+        # io formats and parses rows in chunks; cross several chunk edges
+        records = tiny_records() * 11
+        path = tmp_path / "results.csv"
+        io.save_results_csv(iter(records), path)
+        assert len(path.read_text().splitlines()) == 1 + len(records)
+        assert io.load_results_csv(path) == records
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "results.csv"
         path.write_text("a,b,c\n1,2,3\n")

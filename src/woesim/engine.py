@@ -166,9 +166,9 @@ def run_iteration(
     The training split alone fixes the WoE table and the coefficients; the
     validation split alone picks the F1 and P4 cutoffs; the test split is
     only ever scored, once per metric at its own cutoff and once
-    threshold-free for concordance.  Past the WoE estimate every split is
-    handled as weighted joint cells (see ``compress``), which leaves every
-    count the metrics see unchanged.
+    threshold-free for concordance.  Every split is handled as weighted
+    joint cells (see ``compress``), from the WoE estimate on, which leaves
+    every count the estimators see unchanged.
     """
     if aiv is None:
         aiv = aggregate_iv(config).aiv
@@ -186,8 +186,8 @@ def run_iteration(
         val = generate_sample(config, plan, RngStream(master_seed, iteration, "val"))
         test = generate_sample(config, plan, RngStream(master_seed, iteration, "test"))
 
-        table = estimate_woe(train, config.bin_counts, theta_adj)
         train, train_w = compress(train, config.bin_counts)
+        table = estimate_woe(train, config.bin_counts, theta_adj, train_w)
         model = fit_logistic(transform(train, table), train.Y, train_w)
 
         val, val_w = compress(val, config.bin_counts)

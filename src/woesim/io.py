@@ -170,8 +170,30 @@ def _load_records(cls, path) -> list:
                         f"{path}: row has {len(row)} fields, expected {len(header)}"
                     )
             columns = [map(parse, column) for (_, parse), column in zip(codecs, zip(*rows))]
-            records.extend(cls(*values) for values in zip(*columns))
+            try:
+                records.extend(cls(*values) for values in zip(*columns))
+            except ValueError as exc:
+                raise _bad_cell(path, header, codecs, exc) from None
     return records
+
+
+def _bad_cell(path, header: list[str], codecs: list[tuple], exc: ValueError) -> SchemaError:
+    """Name the line and column of the first cell in ``path`` that its
+    column's parser refuses; only called once a parse has failed, so reading
+    the file again costs the happy path nothing."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        line = 2
+        for row in reader:
+            for name, (_, parse), text in zip(header, codecs, row):
+                try:
+                    parse(text)
+                except ValueError as cell_exc:
+                    return SchemaError(f"{path}: line {line}, column {name!r}: {cell_exc}")
+            # a quoted field may span lines, so count what the reader consumed
+            line = reader.line_num + 1
+    return SchemaError(f"{path}: {exc}")
 
 
 def save_results_csv(records: Iterable[IterationRecord], path) -> None:

@@ -139,10 +139,14 @@ def generate_sample(
     """
     gen = _as_generator(rng)
     n, n1 = plan.n, plan.n1
+    # row j of one draw is predictor j's n1 event variates, then its n - n1
+    # nonevent variates: the stream order above, in a single call
+    u = gen.random((config.n_predictors, n))
     X = np.empty((n, config.n_predictors), dtype=np.int64)
     for j, (cum_event, cum_nonevent) in enumerate(config.bin_cdfs):
-        X[:n1, j] = _search(cum_event, gen.random(n1))
-        X[n1:, j] = _search(cum_nonevent, gen.random(n - n1))
+        X[:n1, j] = cum_event.searchsorted(u[j, :n1], side="right")
+        X[n1:, j] = cum_nonevent.searchsorted(u[j, n1:], side="right")
+    X += 1
     Y = np.zeros(n, dtype=np.int64)
     Y[:n1] = 1
     return Sample(X=X, Y=Y)

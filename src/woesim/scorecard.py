@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +38,15 @@ class WoeTable:
     n_nonevent: int
     theta_adj: float
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every predictor's WoE in one flat array, with the bin counts and
+        ``_bin_starts`` that index it; built on first use and kept with the
+        table (equality and repr still see the fields alone)."""
+        n_bins = np.array([len(row) for row in self.woe])
+        flat = np.fromiter(chain.from_iterable(self.woe), dtype=float)
+        return flat, n_bins, _bin_starts(n_bins)
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -45,6 +56,20 @@ class FittedModel:
     converged: bool
     iterations: int
     loglik: float
+
+
+def _bin_starts(n_bins: np.ndarray) -> np.ndarray:
+    """Lay every predictor's bins end to end, predictor j's after those of
+    the predictors before it: ``X + _bin_starts(n_bins)`` is then each
+    1-based bin index's 0-based position."""
+    return n_bins.cumsum() - n_bins - 1
+
+
+def _check_bins(X: np.ndarray, n_bins: np.ndarray) -> None:
+    bad = (X < 1) | (X > n_bins)
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        raise IndexError(f"predictor {j + 1}: bin index outside 1..{n_bins[j]}")
 
 
 def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
@@ -57,7 +82,7 @@ def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
 
 
 def estimate_woe(
-    sample: Sample, bin_counts: Sequence[int], theta_adj: float = 0.5
+    sample: Sample, bin_counts: Sequence[int], theta_adj: float = 0.5, weights=None
 ) -> WoeTable:
     """Estimate per-bin weights of evidence from a training sample.
 
@@ -65,6 +90,11 @@ def estimate_woe(
     is added to every bin count before normalizing, keeping estimates
     finite for bins one class never visited.  The table covers all bins in
     ``bin_counts``, including those absent from the sample.
+
+    ``weights`` (default: one per row) are nonnegative integer frequency
+    weights: a row of weight w counts as w identical rows, so a sample
+    reduced to weighted cells (see ``compress``) gives the table of the rows
+    behind it.
     """
     if theta_adj < 0.0:
         raise ValueError(f"theta_adj must be nonnegative, got {theta_adj}")
@@ -72,31 +102,43 @@ def estimate_woe(
         raise ValueError(
             f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
         )
-    n1 = sample.n_events
-    n0 = sample.n - n1
+    if weights is None:
+        w = None
+        n1 = sample.n_events
+        n0 = sample.n - n1
+    else:
+        w = np.asarray(weights)
+        if w.shape != (sample.n,):
+            raise ValueError("weights length must match sample rows")
+        if w.dtype.kind not in "iu" or (w < 0).any():
+            raise ValueError("weights must be nonnegative integers")
+        n1 = int(w @ sample.Y)
+        n0 = int(w.sum()) - n1
     if n1 == 0:
         raise NoEvents("training sample contains no events")
     if n0 == 0:
         raise NoNonevents("training sample contains no nonevents")
 
-    event_mask = sample.Y == 1
-    woe, c1s, c0s = [], [], []
+    n_bins = np.asarray(bin_counts)
+    _check_bins(sample.X, n_bins)
+    # one count slot per (class, predictor, bin), events first
+    total = int(n_bins.sum())
+    slots = sample.X + (_bin_starts(n_bins) + total * (sample.Y != 1)[:, None])
+    counts = np.bincount(
+        slots.ravel(), None if w is None else np.repeat(w, sample.d), minlength=2 * total
+    ).astype(np.int64, copy=False)
+    c1, c0 = counts[:total], counts[total:]
     with np.errstate(divide="ignore"):
-        for j, n_bins in enumerate(bin_counts):
-            col = sample.X[:, j]
-            if col.min() < 1 or col.max() > n_bins:
-                raise IndexError(
-                    f"predictor {j + 1}: bin index outside 1..{n_bins}"
-                )
-            c1 = np.bincount(col[event_mask] - 1, minlength=n_bins)
-            c0 = np.bincount(col[~event_mask] - 1, minlength=n_bins)
-            woe.append(tuple(adjusted_woe(c0, c1, n0, n1, theta_adj).tolist()))
-            c1s.append(tuple(c1.tolist()))
-            c0s.append(tuple(c0.tolist()))
+        woe = adjusted_woe(c0, c1, n0, n1, theta_adj).tolist()
+    edges = list(accumulate(bin_counts, initial=0))
+
+    def per_predictor(flat: list) -> tuple[tuple, ...]:
+        return tuple(tuple(flat[a:b]) for a, b in zip(edges, edges[1:]))
+
     return WoeTable(
-        woe=tuple(woe),
-        event_counts=tuple(c1s),
-        nonevent_counts=tuple(c0s),
+        woe=per_predictor(woe),
+        event_counts=per_predictor(c1.tolist()),
+        nonevent_counts=per_predictor(c0.tolist()),
         n_event=n1,
         n_nonevent=n0,
         theta_adj=float(theta_adj),
@@ -109,24 +151,26 @@ def transform(sample: Sample, table: WoeTable) -> np.ndarray:
         raise ValueError(
             f"sample has {sample.d} predictors, table has {len(table.woe)}"
         )
-    out = np.empty((sample.n, sample.d), dtype=float)
-    for j, row in enumerate(table.woe):
-        col = sample.X[:, j]
-        if col.min() < 1 or col.max() > len(row):
-            raise IndexError(f"predictor {j + 1}: unknown bin index in sample")
-        out[:, j] = np.asarray(row)[col - 1]
-    return out
+    flat, n_bins, starts = table._lookup
+    _check_bins(sample.X, n_bins)
+    return flat[sample.X + starts]
 
 
 def _clamped_probs(eta: np.ndarray) -> np.ndarray:
+    """Clamp the linear predictors and map them through the sigmoid, in place:
+    ``eta`` is overwritten with the probabilities and returned."""
     # minimum/maximum equal np.clip here and skip its Python-level dispatch
-    eta = np.minimum(np.maximum(eta, -LINEAR_PREDICTOR_CLAMP), LINEAR_PREDICTOR_CLAMP)
-    return 1.0 / (1.0 + np.exp(-eta))
+    np.maximum(eta, -LINEAR_PREDICTOR_CLAMP, out=eta)
+    np.minimum(eta, LINEAR_PREDICTOR_CLAMP, out=eta)
+    np.negative(eta, out=eta)
+    np.exp(eta, out=eta)
+    eta += 1.0
+    return np.divide(1.0, eta, out=eta)
 
 
 def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray) -> float:
     """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w`` as nonevents."""
-    return float(np.sum(event_w * np.log(p) + nonevent_w * np.log1p(-p)))
+    return float((event_w * np.log(p) + nonevent_w * np.log1p(-p)).sum())
 
 
 def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
@@ -145,7 +189,7 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-dimensional, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     y = np.asarray(responses, dtype=float)
     if y.shape != (X.shape[0],):
@@ -156,7 +200,7 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
         w = np.asarray(weights, dtype=float)
         if w.shape != y.shape:
             raise ValueError("weights length must match feature rows")
-        if not np.all(np.isfinite(w) & (w >= 0.0)):
+        if not (np.isfinite(w) & (w >= 0.0)).all():
             raise ValueError("weights must be finite and nonnegative")
     event_w, nonevent_w = w * y, w * (1.0 - y)
     event_weight = float(event_w.sum())
@@ -171,7 +215,7 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         grad = design.T @ (w * (y - p))
-        if np.max(np.abs(grad)) < _GRAD_TOL:
+        if np.abs(grad).max() < _GRAD_TOL:
             converged = True
             break
         curvature = w * p * (1.0 - p)
@@ -198,7 +242,7 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
             converged = True
             break
     return FittedModel(
-        beta=tuple(float(b) for b in beta),
+        beta=tuple(beta.tolist()),
         converged=converged,
         iterations=iterations,
         loglik=ll,
@@ -212,6 +256,6 @@ def predict_proba(model: FittedModel, features) -> float | np.ndarray:
     """
     arr = np.asarray(features, dtype=float)
     beta = np.asarray(model.beta)
-    eta = beta[0] + arr @ beta[1:]
-    p = _clamped_probs(eta)
-    return float(p) if arr.ndim == 1 else p
+    # a single row gives a numpy scalar, which has no buffer to write into
+    p = _clamped_probs(np.atleast_1d(beta[0] + arr @ beta[1:]))
+    return float(p[0]) if arr.ndim == 1 else p

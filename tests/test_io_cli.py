@@ -1,5 +1,7 @@
 """File formats, chart emission, and the command-line interface."""
 
+import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -101,6 +103,20 @@ class TestResultsCsv:
         io.save_results_csv(iter(records), path)
         assert len(path.read_text().splitlines()) == 1 + len(records)
         assert io.load_results_csv(path) == records
+
+    def test_malformed_cell_after_multiline_id_names_its_line(self, tmp_path):
+        # rows past the first chunk, the first with an id spanning two lines
+        records = tiny_records() * 6
+        records[0] = dataclasses.replace(records[0], config_id="two\nlines")
+        path = tmp_path / "results.csv"
+        io.save_results_csv(records, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[70][6] = "maybe"  # the converged column
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ws.SchemaError, match=r"line 72, column 'converged': .*'maybe'"):
+            io.load_results_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "results.csv"
@@ -230,6 +246,21 @@ class TestCli:
             "--iters", "2", "--out", str(out),
         ]) == 2
         assert "config ids must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summarize_names_line_and_column_of_malformed_cell(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        io.save_results_csv(tiny_records(), results)
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[1] = "abc"  # the aiv column
+        lines[3] = ",".join(fields)
+        results.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "summary.csv"
+        assert cli.main(["summarize", "--in", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{results}: line 4, column 'aiv': " in err
+        assert "'abc'" in err
         assert not out.exists()
 
     def test_run_parallel_matches_serial_bytes(self, tmp_path):

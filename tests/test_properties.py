@@ -2,10 +2,11 @@
 
 A weighted row counts exactly as that many replicated rows: the engine
 reduces every split to weighted joint cells (``compress``) and hands the
-weights to the fit and the metrics, so each of them must agree with the
-unweighted call on the rows the weights stand for.  The results and
-summary CSVs round-trip any record, and the config synthesiser either hits
-its target or says it cannot.
+weights to the WoE estimate, the fit and the metrics, so each of them must
+agree with the unweighted call on the rows the weights stand for.  The results and
+summary CSVs round-trip any record, the config synthesiser either hits
+its target or says it cannot, the sampler consumes its stream in the
+documented order, and the grid's records do not depend on the schedule.
 """
 
 import dataclasses
@@ -15,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
 from woesim import io
+from woesim.configs import bin_cdf
 
 GRID = ws.default_cutoff_grid()
 
@@ -102,6 +104,21 @@ def test_compress_preserves_per_class_bin_counts(data):
         assert len(set(keys)) == len(keys)
     replicated = ws.Sample(*replicate(weights, cells.X, cells.Y))
     assert ws.estimate_woe(replicated, bin_counts) == ws.estimate_woe(sample, bin_counts)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["K<=n", "K>n"])
+@given(data=binned_samples(), draw=st.data())
+def test_weighted_woe_equals_replicated_rows(reduced, data, draw):
+    sample, bin_counts = data
+    assume((math.prod(bin_counts) <= sample.n) == reduced)
+    expected = ws.estimate_woe(sample, bin_counts)
+    cells, weights = ws.compress(sample, bin_counts)
+    assert ws.estimate_woe(cells, bin_counts, weights=weights) == expected
+    weights = np.asarray(draw.draw(st.lists(st.integers(1, 5), min_size=sample.n, max_size=sample.n)))
+    replicated = ws.Sample(*replicate(weights, sample.X, sample.Y))
+    assert ws.estimate_woe(sample, bin_counts, weights=weights) == ws.estimate_woe(
+        replicated, bin_counts
+    )
 
 
 @given(binned_samples(), st.data())
@@ -224,3 +241,62 @@ def test_synthesize_config_hits_target_or_raises(bins, target, tol, seed):
         return
     assert config.bin_counts == tuple(bins)
     assert abs(ws.aggregate_iv(config).aiv - target) <= tol
+
+
+@st.composite
+def sampling_inputs(draw):
+    """A config of 1-4 predictors with 2-6 bins, a plan and a seed."""
+    predictors = []
+    for j in range(draw(st.integers(1, 4))):
+        n_bins = draw(st.integers(2, 6))
+        dists = []
+        for _ in range(2):
+            mass = np.asarray(draw(st.lists(st.integers(1, 20), min_size=n_bins, max_size=n_bins)))
+            dists.append(mass / mass.sum())
+        predictors.append(ws.PredictorSpec(f"X{j + 1}", *dists))
+    n = draw(st.integers(2, 60))
+    n1 = draw(st.integers(1, n - 1))
+    plan = ws.SamplingPlan(n=n, n1=n1, pi1=n1 / n)
+    return ws.ConfigSpec("P", tuple(predictors)), plan, draw(st.integers(0, 2**32))
+
+
+def reference_sample(config, plan, gen):
+    """The documented stream layout, one predictor at a time: its n1 event
+    variates, then its n - n1 nonevent variates."""
+    columns = []
+    for p in config.predictors:
+        events = np.searchsorted(bin_cdf(p.p_event), gen.random(plan.n1), side="right")
+        nonevents = np.searchsorted(
+            bin_cdf(p.p_nonevent), gen.random(plan.n - plan.n1), side="right"
+        )
+        columns.append(np.concatenate([events, nonevents]) + 1)
+    return np.column_stack(columns)
+
+
+@given(sampling_inputs())
+def test_generate_sample_follows_documented_stream_layout(data):
+    config, plan, seed = data
+    gen = np.random.default_rng(seed)
+    sample = ws.generate_sample(config, plan, gen)
+    expected_gen = np.random.default_rng(seed)
+    assert np.array_equal(sample.X, reference_sample(config, plan, expected_gen))
+    assert sample.Y.tolist() == [1] * plan.n1 + [0] * (plan.n - plan.n1)
+    # the sample consumed exactly d * n variates: both streams continue alike
+    assert gen.random() == expected_gen.random()
+
+
+@settings(max_examples=5)
+@given(
+    configs=st.lists(st.sampled_from("ABCD"), min_size=1, max_size=2, unique=True),
+    sizes=st.lists(st.integers(20, 120), min_size=1, max_size=2, unique=True),
+    rates=st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.3]), min_size=1, max_size=2, unique=True),
+    iterations=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_run_grid_records_do_not_depend_on_the_schedule(configs, sizes, rates, iterations, seed):
+    spec = ws.RunSpec(
+        configs=tuple(ws.BUILTIN_CONFIGS[c] for c in configs), sizes=tuple(sizes),
+        rates=tuple(rates), iterations=iterations, master_seed=seed,
+    )
+    # degenerate records hold NaN, which never equals itself, so compare reprs
+    assert repr(ws.run_grid(spec, workers=2)) == repr(ws.run_grid(spec))

@@ -1,5 +1,6 @@
 """WoE estimation, the WoE transform, and the logistic MLE."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestEstimateWoe:
             ws.estimate_woe(build_sample([1, 2, 1], [0, 0, 0]), (2,))
         with pytest.raises(ws.NoNonevents):
             ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1]), (2,))
+
+    def test_bad_weights_rejected(self):
+        sample = build_sample([1, 2, 1], [1, 0, 0])
+        for weights in ([1, 2], [1, -1, 2], [1.0, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="weights"):
+                ws.estimate_woe(sample, (2,), weights=np.asarray(weights))
+
+    def test_out_of_range_bin_names_predictor(self):
+        sample = build_sample([[1, 2], [2, 3], [1, 1]], [1, 0, 0])
+        with pytest.raises(IndexError, match=r"predictor 2: bin index outside 1\.\.2"):
+            ws.estimate_woe(sample, (2, 2))
 
     def test_antisymmetric_under_class_swap(self):
         plan = ws.make_plan(300, ws.EventRate(0.2))
@@ -125,6 +137,12 @@ class TestTransform:
         )
         with pytest.raises(IndexError):
             ws.transform(build_sample([1, 3], [1, 0]), table)
+        pair = ((1, 1), (1, 1))
+        two = dataclasses.replace(
+            table, woe=((0.2, -0.1), (0.5, 0.4)), event_counts=pair, nonevent_counts=pair
+        )
+        with pytest.raises(IndexError, match="predictor 2"):
+            ws.transform(build_sample([[1, 2], [2, 0]], [1, 0]), two)
 
     def test_recomputing_counts_reproduces_table(self):
         plan = ws.make_plan(400, ws.EventRate(0.1))
@@ -255,3 +273,85 @@ class TestPredictProba:
         model = ws.FittedModel(beta=(0.3, -1.2), converged=True, iterations=1, loglik=-1.0)
         values = [ws.predict_proba(model, [x]) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def small_n_design(config_id, n, rate, iteration):
+    """The training design ``run_iteration`` fits: WoE features of the
+    training sample's weighted cells, their responses and their weights."""
+    config = ws.BUILTIN_CONFIGS[config_id]
+    plan = ws.make_plan(n, ws.EventRate(rate))
+    train = ws.generate_sample(config, plan, ws.RngStream(20260101, iteration, "train"))
+    table = ws.estimate_woe(train, config.bin_counts)
+    cells, weights = ws.compress(train, config.bin_counts)
+    return ws.transform(cells, table), cells.Y, weights
+
+
+# exact reprs of the fits, so a reordered reduction or a changed step shows
+# as a changed last digit
+SMALL_N_FITS = {
+    ("A", 50, 0.01, 0): "FittedModel(beta=(-108.65729058531159, -31.2834578205591, -3.860304081387943, -17.372975679564842, -12.481818541547641), converged=True, iterations=24, loglik=-1.0374013750901729e-08)",
+    ("A", 100, 0.05, 1): "FittedModel(beta=(-5.28563727526267, -2.1359155127422604, -1.7017901196747156, -1.501371746017343, -2.056018585460329), converged=True, iterations=8, loglik=-15.102847590557529)",
+    ("A", 150, 0.1, 2): "FittedModel(beta=(-3.042036159034055, -1.2691101309922894, -1.1606002146181418, -3.279800549346363, -1.355807389759871), converged=True, iterations=7, loglik=-42.97017637180927)",
+    ("A", 200, 0.01, 3): "FittedModel(beta=(-695.6403571107546, -21.927424573593317, -55.09177637736895, -361.1090087536281, -152.05086623500398), converged=True, iterations=29, loglik=-1.3862943742932723)",
+    ("A", 250, 0.05, 4): "FittedModel(beta=(-3.7364717208981593, -1.6312214747567133, -1.2654643629853664, -1.1181245603022203, -1.0202490955477317), converged=True, iterations=8, loglik=-35.23666788607657)",
+    ("B", 50, 0.01, 5): "FittedModel(beta=(-27.71942446876944, -0.6812306300238505, -9.556694555832202, 0.9155666053668243, -0.3812377826047757), converged=True, iterations=23, loglik=-4.986279512557537e-09)",
+    ("B", 100, 0.05, 6): "FittedModel(beta=(-5.782770003203808, -1.4601325860146996, -2.240006252278593, -1.4245025466245596, -1.7749241775908282), converged=True, iterations=9, loglik=-11.415443926359016)",
+    ("B", 150, 0.1, 7): "FittedModel(beta=(-2.983172899939029, -1.1916994209419831, -0.9465652337483269, -1.3127603727799235, -1.8923970641368304), converged=True, iterations=8, loglik=-30.568941072936923)",
+    ("B", 200, 0.01, 8): "FittedModel(beta=(-130.60434006320185, -27.594724406870228, 20.399876484192735, -32.5748933813425, -17.541804440023398), converged=True, iterations=26, loglik=-2.0618330303616858e-08)",
+    ("B", 250, 0.05, 9): "FittedModel(beta=(-4.154601298099074, -1.108981109193073, -1.3669926069116785, -1.0031783685696651, -1.6024355616117996), converged=True, iterations=9, loglik=-28.19262614151603)",
+    ("C", 50, 0.01, 10): "FittedModel(beta=(-347.35939127760065, -36.06574861764049, -45.38334945449401, 74.0466918924458, -227.1438354213693), converged=True, iterations=25, loglik=-1.5113088530592525e-08)",
+    ("C", 100, 0.05, 11): "FittedModel(beta=(-6.174012572518297, -1.2349282942872417, -2.9564208472364566, -0.3830057256061911, -2.113048370517673), converged=True, iterations=10, loglik=-9.878717081717197)",
+    ("C", 150, 0.1, 12): "FittedModel(beta=(-3.9096861460946624, -1.2463614171628135, -0.7333086407341226, -1.3541291526624533, -3.2143945991489398), converged=True, iterations=10, loglik=-17.794158935808625)",
+    ("C", 200, 0.01, 13): "FittedModel(beta=(-69.9421439983068, -18.2730255756534, -2.378219190974227, -17.935760089938803, -2.5803834970509194), converged=True, iterations=27, loglik=-3.1184542385664553)",
+    ("C", 250, 0.05, 14): "FittedModel(beta=(-5.348058144087577, -1.1579563380353863, -1.5019562561950899, -1.0703993982317312, -3.1689971861484416), converged=True, iterations=11, loglik=-10.647229070631107)",
+    ("D", 50, 0.01, 15): "FittedModel(beta=(-34.57010885419625, -1.0262867195848637, -2.8331164602463392, -5.5391618022775075, -4.6638003344350345), converged=True, iterations=23, loglik=-9.736263143202427e-09)",
+    ("D", 100, 0.05, 16): "FittedModel(beta=(-53.831335273694805, -2.1583284497322928, -9.429602888711424, -15.279309548779619, -16.241012258663112), converged=True, iterations=25, loglik=-1.3057185125016716e-08)",
+    ("D", 150, 0.1, 17): "FittedModel(beta=(-27.43289873777288, -11.08633745153031, -9.855826581201104, -3.924180824409026, -11.635836373689415), converged=True, iterations=26, loglik=-6.960815497791403e-09)",
+    ("D", 200, 0.01, 18): "FittedModel(beta=(-76.65299758357759, -6.121756588769512, -10.51615835834136, -19.394201579193485, -12.575943994892084), converged=True, iterations=25, loglik=-2.3039297956973755e-08)",
+    ("D", 250, 0.05, 19): "FittedModel(beta=(-40.38181175001962, -11.744202042777774, -13.049761963574547, -13.623462395371781, -21.899699633418034), converged=True, iterations=25, loglik=-3.9403952569188556e-08)",
+}
+
+
+class TestGoldenFits:
+    def test_one_event_separated_design(self):
+        x = np.concatenate([[2.0], np.linspace(-1.0, 1.0, 29)])
+        y = np.zeros(30)
+        y[0] = 1
+        assert repr(ws.fit_logistic(x[:, None], y)) == (
+            "FittedModel(beta=(-56.338274727743084, 37.81265259432321), converged=True, "
+            "iterations=23, loglik=-1.3858912976096139e-08)"
+        )
+
+    def test_constant_column_takes_lstsq_fallback(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        gen = np.random.default_rng(3)
+        # the constant column duplicates the intercept: every Hessian is singular
+        F = np.column_stack([np.ones(40), gen.normal(size=40)])
+        y = (gen.random(40) < 0.3).astype(float)
+        model = ws.fit_logistic(F, y)
+        assert len(calls) == model.iterations
+        assert repr(model) == (
+            "FittedModel(beta=(-0.3742198090661224, -0.37421980906612246, "
+            "-0.19982439311031502), converged=True, iterations=4, loglik=-24.99453209511013)"
+        )
+
+    def test_weighted_compressed_design(self):
+        F, y, w = small_n_design("B", 1000, 0.05, 0)
+        assert len(y) < 1000
+        assert repr(ws.fit_logistic(F, y, w)) == (
+            "FittedModel(beta=(-3.214867124768384, -1.0323090406827005, -1.0235970554027707, "
+            "-1.064665251985866, -1.2309603011355084), converged=True, iterations=9, "
+            "loglik=-148.54487126231427)"
+        )
+
+    @pytest.mark.parametrize("design", sorted(SMALL_N_FITS))
+    def test_small_n_slice_designs(self, design):
+        F, y, w = small_n_design(*design)
+        assert repr(ws.fit_logistic(F, y, w)) == SMALL_N_FITS[design]

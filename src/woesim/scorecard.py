@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -41,11 +41,11 @@ class WoeTable:
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every predictor's WoE in one flat array, with the bin counts and
-        ``_bin_starts`` that index it; built on first use and kept with the
-        table (equality and repr still see the fields alone)."""
+        the ``_bin_layout`` offsets that index it; built on first use and
+        kept with the table (equality and repr still see the fields alone)."""
         n_bins = np.array([len(row) for row in self.woe])
         flat = np.fromiter(chain.from_iterable(self.woe), dtype=float)
-        return flat, n_bins, _bin_starts(n_bins)
+        return flat, n_bins, _bin_layout(n_bins)[1]
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,18 @@ class FittedModel:
     loglik: float
 
 
-def _bin_starts(n_bins: np.ndarray) -> np.ndarray:
+def _bin_layout(n_bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lay every predictor's bins end to end, predictor j's after those of
-    the predictors before it: ``X + _bin_starts(n_bins)`` is then each
-    1-based bin index's 0-based position."""
-    return n_bins.cumsum() - n_bins - 1
+    the predictors before it.  Returns each predictor's end position in the
+    flat layout and the offsets for which ``X + offsets`` is each 1-based
+    bin index's 0-based position."""
+    ends = n_bins.cumsum()
+    return ends, ends - n_bins - 1
+
+
+def _split_rows(flat: list, ends: list) -> tuple[tuple, ...]:
+    """Cut a flat per-bin list back into one tuple per predictor."""
+    return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def _check_bins(X: np.ndarray, n_bins: np.ndarray) -> None:
@@ -103,42 +110,37 @@ def estimate_woe(
             f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
         )
     if weights is None:
-        w = None
-        n1 = sample.n_events
-        n0 = sample.n - n1
+        w = np.ones(sample.n, dtype=np.int64)
     else:
         w = np.asarray(weights)
         if w.shape != (sample.n,):
             raise ValueError("weights length must match sample rows")
         if w.dtype.kind not in "iu" or (w < 0).any():
             raise ValueError("weights must be nonnegative integers")
-        n1 = int(w @ sample.Y)
-        n0 = int(w.sum()) - n1
+    n1 = int(w @ sample.Y)
+    n0 = int(w.sum()) - n1
     if n1 == 0:
         raise NoEvents("training sample contains no events")
     if n0 == 0:
         raise NoNonevents("training sample contains no nonevents")
 
-    n_bins = np.asarray(bin_counts)
+    n_bins = np.asarray(bin_counts, dtype=np.int64)
     _check_bins(sample.X, n_bins)
     # one count slot per (class, predictor, bin), events first
+    ends, offsets = _bin_layout(n_bins)
     total = int(n_bins.sum())
-    slots = sample.X + (_bin_starts(n_bins) + total * (sample.Y != 1)[:, None])
+    slots = sample.X + (offsets + total * (sample.Y != 1)[:, None])
     counts = np.bincount(
-        slots.ravel(), None if w is None else np.repeat(w, sample.d), minlength=2 * total
-    ).astype(np.int64, copy=False)
+        slots.ravel(), np.repeat(w, sample.d), minlength=2 * total
+    ).astype(np.int64)
     c1, c0 = counts[:total], counts[total:]
     with np.errstate(divide="ignore"):
         woe = adjusted_woe(c0, c1, n0, n1, theta_adj).tolist()
-    edges = list(accumulate(bin_counts, initial=0))
-
-    def per_predictor(flat: list) -> tuple[tuple, ...]:
-        return tuple(tuple(flat[a:b]) for a, b in zip(edges, edges[1:]))
-
+    bounds = ends.tolist()
     return WoeTable(
-        woe=per_predictor(woe),
-        event_counts=per_predictor(c1.tolist()),
-        nonevent_counts=per_predictor(c0.tolist()),
+        woe=_split_rows(woe, bounds),
+        event_counts=_split_rows(c1.tolist(), bounds),
+        nonevent_counts=_split_rows(c0.tolist(), bounds),
         n_event=n1,
         n_nonevent=n0,
         theta_adj=float(theta_adj),

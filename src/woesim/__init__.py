@@ -85,9 +85,7 @@ from .sampling import (
     Sample,
     SamplingPlan,
     compress,
-    draw_categorical,
     generate_sample,
-    invert_cdf,
     make_plan,
 )
 from .scorecard import (

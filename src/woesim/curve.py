@@ -88,6 +88,9 @@ def _solve(M: np.ndarray, g: np.ndarray) -> np.ndarray:
         return steps
 
 
+# A steep candidate saturates the sigmoid: exp overflows to inf and the
+# curve value goes to 0 as intended, so the overflow is not reported.
+@np.errstate(over="ignore")
 def _damped_gauss_newton(
     a: np.ndarray, y: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,8 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
 
 def _run_cell(args) -> list[IterationRecord]:
     config, plan, master_seed, iterations, theta_adj, cutoff_grid, aiv = args
+    # one grid array serves every iteration of the cell
+    grid = default_cutoff_grid() if cutoff_grid is None else np.asarray(cutoff_grid, dtype=float)
     return [
         run_iteration(
             config,
@@ -242,7 +244,7 @@ def _run_cell(args) -> list[IterationRecord]:
             master_seed,
             iteration,
             theta_adj=theta_adj,
-            cutoff_grid=cutoff_grid,
+            cutoff_grid=grid,
             aiv=aiv,
         )
         for iteration in range(iterations)

@@ -76,9 +76,10 @@ def check_cutoff_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("cutoff grid must be a nonempty vector")
-    if np.any(np.diff(g) <= 0):
+    # written so that a NaN, which compares false both ways, fails each test
+    if not (g[1:] > g[:-1]).all():
         raise ValueError("cutoff grid must be strictly increasing")
-    if g[0] <= 0.0 or g[-1] >= 1.0:
+    if not (0.0 < g[0] and g[-1] < 1.0):
         raise ValueError("cutoff grid must lie strictly inside (0, 1)")
     return g
 
@@ -148,17 +149,28 @@ def gini(probs, labels, weights=None) -> float:
     a pair is concordant when the event observation has the strictly larger
     score, and score ties land in the denominator only.  Pairs are
     aggregated over groups of identical score values after one sort, so the
-    result equals full O(n^2) pair enumeration exactly.
+    result equals full O(n^2) pair enumeration exactly.  NaN scores rank
+    above every number and tie with each other.
     """
     p, y, w = _check_scores(probs, labels, weights)
-    scores, group = np.unique(p, return_inverse=True)
-    e, g = _class_counts(group, scores.size, y, w)
+    order = p.argsort()
+    ranked = p[order]
+    # group k holds the k-th smallest distinct score
+    starts = np.empty(ranked.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    if ranked[-1] != ranked[-1]:
+        # NaNs sort last and never equal each other: join them in one group
+        starts[np.isnan(ranked).argmax() + 1:] = False
+    group = starts.cumsum() - 1
+    e, g = _class_counts(group, int(group[-1]) + 1, y[order], None if w is None else w[order])
     n1, n0 = int(e.sum()), int(g.sum())
     if n1 == 0 or n0 == 0:
         raise DegenerateDesign("gini needs at least one event and one nonevent")
-    g_cum = np.cumsum(g)
-    concordant = int(np.sum(e * (g_cum - g)))
-    discordant = int(np.sum(e * (n0 - g_cum)))
+    g_cum = g.cumsum()
+    # nonevents strictly below each event group, and strictly above it
+    concordant = int(e @ (g_cum - g))
+    discordant = int(e @ (n0 - g_cum))
     return (concordant - discordant) / (n1 * n0)
 
 

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import ConfigSpec, EventRate, bin_cdf
+from .configs import ConfigSpec, EventRate
 from .errors import DegeneratePlan, InsufficientEvents
 from .rng import RngStream
 
@@ -98,33 +98,6 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     return rng.generator() if isinstance(rng, RngStream) else rng
 
 
-def _search(cum: np.ndarray, u):
-    idx = np.searchsorted(cum, u, side="right")
-    if np.ndim(u) == 0:
-        return int(idx) + 1
-    return idx.astype(np.int64) + 1
-
-
-def invert_cdf(dist, u):
-    """Map uniform variates in [0, 1) to 1-based bin indices.
-
-    The bins partition [0, 1) into right-open intervals in cumulative bin
-    order, so a variate equal to an interior boundary falls in the bin to
-    the boundary's right.
-    """
-    return _search(bin_cdf(dist), u)
-
-
-def draw_categorical(dist, rng: RngStream | np.random.Generator, size=None):
-    """Inverse-CDF draw from a bin distribution; returns 1-based indices.
-
-    With ``size=None`` a single int is returned, otherwise an int64 array
-    of that shape.
-    """
-    gen = _as_generator(rng)
-    return invert_cdf(dist, gen.random(size))
-
-
 def generate_sample(
     config: ConfigSpec,
     plan: SamplingPlan,
@@ -136,6 +109,12 @@ def generate_sample(
     variates, then its n - n1 nonevent variates, before predictor j+1
     touches the stream.  Identical (config, plan, stream) inputs therefore
     reproduce bit-identical samples.
+
+    Each variate u in [0, 1) becomes a 1-based bin index by inverting the
+    class's cumulative bin probabilities: the bins partition [0, 1) into
+    right-open intervals in bin order, so a variate equal to an interior
+    boundary falls in the bin to the boundary's right.  ``rng`` may be any
+    object with a numpy-style ``random(shape)`` method.
     """
     gen = _as_generator(rng)
     n, n1 = plan.n, plan.n1

@@ -8,6 +8,7 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateDesign, NoEvents, NoNonevents
 from .sampling import Sample
@@ -135,16 +136,19 @@ def estimate_woe(
     ).astype(np.int64)
     c1, c0 = counts[:total], counts[total:]
     with np.errstate(divide="ignore"):
-        woe = adjusted_woe(c0, c1, n0, n1, theta_adj).tolist()
+        woe = adjusted_woe(c0, c1, n0, n1, theta_adj)
     bounds = ends.tolist()
-    return WoeTable(
-        woe=_split_rows(woe, bounds),
+    table = WoeTable(
+        woe=_split_rows(woe.tolist(), bounds),
         event_counts=_split_rows(c1.tolist(), bounds),
         nonevent_counts=_split_rows(c0.tolist(), bounds),
         n_event=n1,
         n_nonevent=n0,
         theta_adj=float(theta_adj),
     )
+    # the flat WoE array is the lookup ``transform`` would rebuild from the tuples
+    object.__setattr__(table, "_lookup", (woe, n_bins, offsets))
+    return table
 
 
 def transform(sample: Sample, table: WoeTable) -> np.ndarray:
@@ -170,9 +174,40 @@ def _clamped_probs(eta: np.ndarray) -> np.ndarray:
     return np.divide(1.0, eta, out=eta)
 
 
-def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray) -> float:
-    """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w`` as nonevents."""
-    return float((event_w * np.log(p) + nonevent_w * np.log1p(-p)).sum())
+def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray, a=None, b=None) -> float:
+    """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w``
+    as nonevents, ``event_w * log(p) + nonevent_w * log1p(-p)`` summed.  The
+    two terms are formed in ``a`` and ``b`` when given, buffers shaped like
+    ``p``, and in new arrays otherwise."""
+    a = np.log(p, out=a)
+    a *= event_w
+    b = np.negative(p, out=b)
+    np.log1p(b, out=b)
+    b *= nonevent_w
+    a += b
+    return float(a.sum())
+
+
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# The LAPACK gufunc behind ``np.linalg.solve``, run under the error state that
+# wrapper sets, so LAPACK's singular-matrix flag raises ``LinAlgError``; the
+# wrapper's array checks cost more than the 5x5 solve itself.
+_solve = np.errstate(
+    call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+)(_umath_linalg.solve1)
+
+
+def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``hessian @ step = grad`` as ``np.linalg.solve`` does; a singular
+    ``hessian`` (e.g. from constant feature columns) gives the minimum-norm
+    least-squares step instead."""
+    try:
+        return _solve(hessian, grad)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hessian, grad, rcond=None)[0]
 
 
 def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
@@ -210,33 +245,38 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
         raise DegenerateDesign("responses are all one class; MLE is unbounded")
 
     design = np.column_stack([np.ones(X.shape[0]), X])
+    # per-fit buffers, refilled by every Newton step
+    resid = np.empty_like(y)
+    curvature = np.empty_like(y)
+    scaled = np.empty_like(design)
+    terms = np.empty_like(y), np.empty_like(y)
     beta = np.zeros(design.shape[1])
     p = _clamped_probs(design @ beta)
-    ll = _loglik(event_w, nonevent_w, p)
+    ll = _loglik(event_w, nonevent_w, p, *terms)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        grad = design.T @ (w * (y - p))
-        if np.abs(grad).max() < _GRAD_TOL:
+        np.subtract(y, p, out=resid)
+        resid *= w
+        grad = design.T @ resid
+        # max-norm under the tolerance; a NaN entry fails it, as in numpy
+        if all(abs(g) < _GRAD_TOL for g in grad.tolist()):
             converged = True
             break
-        curvature = w * p * (1.0 - p)
-        hessian = (design * curvature[:, None]).T @ design
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            # singular curvature (e.g. constant feature columns): take the
-            # minimum-norm ascent step instead
-            step, *_ = np.linalg.lstsq(hessian, grad, rcond=None)
+        np.subtract(1.0, p, out=resid)  # the residual is spent: reuse it for 1 - p
+        np.multiply(w, p, out=curvature)
+        curvature *= resid
+        np.multiply(design, curvature[:, None], out=scaled)
+        step = _newton_step(scaled.T @ design, grad)
         new_beta = beta + step
         new_p = _clamped_probs(design @ new_beta)
-        new_ll = _loglik(event_w, nonevent_w, new_p)
+        new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
         halvings = 0
         while new_ll < ll and halvings < _MAX_HALVINGS:
             step = 0.5 * step
             new_beta = beta + step
             new_p = _clamped_probs(design @ new_beta)
-            new_ll = _loglik(event_w, nonevent_w, new_p)
+            new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
             halvings += 1
         moved = abs(new_ll - ll)
         beta, p, ll = new_beta, new_p, new_ll

@@ -67,6 +67,13 @@ class TestRunSpec:
         spec = small_spec(cutoff_grid=np.array([0.25, 0.5]))
         assert spec.cutoff_grid == (0.25, 0.5)
 
+    def test_nan_cutoff_grid_refused(self):
+        # used to be kept, and every iteration then picked theta = 0.1
+        with pytest.raises(ValueError, match="strictly increasing"):
+            small_spec(cutoff_grid=(0.1, math.nan, 0.5))
+        with pytest.raises(ValueError, match="inside"):
+            small_spec(cutoff_grid=(math.nan,))
+
 
 class TestRunIteration:
     def test_golden_record_is_stable(self):

@@ -127,6 +127,29 @@ class TestGini:
             probs = gen.integers(0, 8, size=n) / 8.0
             assert ws.gini(probs, labels) == gini_oracle(probs, labels)
 
+    def test_tied_weighted_scores_match_pair_enumeration_of_replicated_rows(self):
+        gen = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(gen.integers(2, 40))
+            labels = gen.integers(0, 2, size=n)
+            labels[0], labels[1] = 1, 0
+            # weight 0 drops a row; the first two keep both classes present
+            weights = gen.integers(0, 5, size=n)
+            weights[:2] += 1
+            probs = gen.integers(0, 6, size=n) / 6.0
+            rows = np.repeat(probs, weights), np.repeat(labels, weights)
+            assert ws.gini(probs, labels, weights) == gini_oracle(*rows)
+
+    def test_nan_scores_tie_with_each_other_above_every_number(self):
+        # all NaN scores form one group ranked above every number, as
+        # np.unique groups them; pair enumeration would tie NaN with all
+        probs = [np.nan, 0.2, np.nan, 0.7, np.nan, 0.1]
+        labels = [1, 0, 1, 1, 0, 0]
+        # events NaN, NaN, 0.7 against nonevents 0.2, NaN, 0.1: 6 concordant
+        # pairs, 1 discordant (0.7 below NaN), 2 tied (NaN with NaN)
+        assert ws.gini(probs, labels) == 5 / 9
+        assert ws.gini(probs, labels, np.ones(6, dtype=int)) == 5 / 9
+
     def test_invariant_under_strictly_increasing_transform(self):
         gen = np.random.default_rng(4)
         eta = gen.normal(size=60)
@@ -192,6 +215,17 @@ class TestOptimizeCutoff:
             ws.optimize_cutoff(probs, labels, "f1", [0.0, 0.5])
         with pytest.raises(ValueError):
             ws.optimize_cutoff(probs, labels, "bogus")
+
+    def test_nan_grid_refused(self):
+        # a NaN compares false both ways, so a grid check built on
+        # "refuse where not increasing" let it through and theta came back
+        # as a grid point before the NaN
+        probs, labels = np.array([0.5, 0.6]), np.array([1, 0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ws.optimize_cutoff(probs, labels, "f1", [0.1, np.nan, 0.5])
+        for grid in ([np.nan], [0.1, 0.5, np.nan], [np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                ws.metrics.check_cutoff_grid(grid)
 
     def test_default_grid_shape(self):
         grid = ws.default_cutoff_grid()

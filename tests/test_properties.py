@@ -3,7 +3,9 @@
 A weighted row counts exactly as that many replicated rows: the engine
 reduces every split to weighted joint cells (``compress``) and hands the
 weights to the WoE estimate, the fit and the metrics, so each of them must
-agree with the unweighted call on the rows the weights stand for.  The results and
+agree with the unweighted call on the rows the weights stand for.  The fit's
+Newton step solves as ``np.linalg.solve`` does and falls back to least
+squares exactly where that raises.  The results and
 summary CSVs round-trip any record, the config synthesiser either hits
 its target or says it cannot, the sampler consumes its stream in the
 documented order, and the grid's records do not depend on the schedule.
@@ -20,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
-from woesim import io
+from woesim import io, scorecard
 from woesim.configs import bin_cdf
 
 GRID = ws.default_cutoff_grid()
@@ -176,6 +178,34 @@ def test_weighted_fit_matches_replicated_rows(data):
     )
     np.testing.assert_allclose(weighted.beta, replicated.beta, rtol=0, atol=1e-9 + slack)
     assert weighted.loglik == pytest.approx(replicated.loglik, rel=1e-12)
+
+
+@st.composite
+def square_systems(draw):
+    """A k x k system, k = 1..6, that is often singular: small-integer or
+    real entries, sometimes a column copied, scaled or zeroed, and a scale
+    from 1e-3 to 1e5."""
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-2, 2), st.floats(-4.0, 4.0))
+    A = np.asarray(draw(st.lists(entry, min_size=k * k, max_size=k * k)), dtype=float)
+    A = A.reshape(k, k)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        A[:, i] = draw(st.sampled_from([0.0, 1.0, -2.5])) * A[:, j]
+    grad = np.asarray(draw(st.lists(entry, min_size=k, max_size=k)), dtype=float)
+    return draw(st.sampled_from([1e-3, 1.0, 1e5])) * A, grad
+
+
+@given(square_systems())
+def test_newton_step_is_numpy_solve_or_lstsq_where_solve_raises(system):
+    hessian, grad = system
+    try:
+        expected = np.linalg.solve(hessian, grad)
+    except np.linalg.LinAlgError:
+        expected = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+    step = scorecard._newton_step(hessian, grad)
+    assert step.dtype == expected.dtype and step.shape == expected.shape
+    assert step.tobytes() == expected.tobytes()
 
 
 # Text that CSV must quote or that is not ASCII, mixed into arbitrary text.

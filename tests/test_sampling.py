@@ -66,32 +66,58 @@ class TestMakePlan:
             ws.SamplingPlan(n=10, n1=0, pi1=0.01)
 
 
+class ExactVariates:
+    """A stand-in generator whose ``random(shape)`` hands out given variates."""
+
+    def __init__(self, variates):
+        self.variates = np.asarray(variates, dtype=float)
+
+    def random(self, shape):
+        return self.variates.reshape(shape)
+
+
+def one_predictor(p_event, p_nonevent=None):
+    pred = ws.PredictorSpec("X1", p_event, p_event if p_nonevent is None else p_nonevent)
+    return ws.ConfigSpec(id="one", predictors=(pred,))
+
+
 class TestInvertCdf:
+    """``generate_sample`` maps each variate in [0, 1) to a 1-based bin through
+    the class's cumulative bin probabilities."""
+
     def test_right_open_boundary_convention(self):
-        dist = (0.5, 0.5)
-        assert ws.invert_cdf(dist, 0.4999) == 1
-        assert ws.invert_cdf(dist, 0.5001) == 2
-        assert ws.invert_cdf(dist, 0.5) == 2  # boundary falls right
-        assert ws.invert_cdf(dist, 0.0) == 1
+        plan = ws.SamplingPlan(n=5, n1=4, pi1=0.8)
+        gen = ExactVariates([0.4999, 0.5001, 0.5, 0.0, 0.7])
+        sample = ws.generate_sample(one_predictor((0.5, 0.5)), plan, gen)
+        # the bins partition [0, 1) into right-open intervals, so a variate
+        # on an interior boundary falls in the bin to its right
+        assert sample.X[:4, 0].tolist() == [1, 2, 2, 1]
 
     def test_vectorized(self):
-        out = ws.invert_cdf((0.25, 0.25, 0.5), np.array([0.0, 0.25, 0.499, 0.5, 0.999]))
-        assert out.tolist() == [1, 2, 2, 3, 3]
+        # one event variate, then five nonevent variates inverted together
+        plan = ws.SamplingPlan(n=6, n1=1, pi1=1 / 6)
+        gen = ExactVariates([0.9, 0.0, 0.25, 0.499, 0.5, 0.999])
+        config = one_predictor((0.2, 0.3, 0.5), (0.25, 0.25, 0.5))
+        sample = ws.generate_sample(config, plan, gen)
+        assert sample.X[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
 
 
 class TestDrawCategorical:
+    """Draw frequencies of ``generate_sample`` over a million event rows."""
+
+    @staticmethod
+    def event_draws(dist, stream, size=10**6):
+        plan = ws.SamplingPlan(n=size + 1, n1=size, pi1=size / (size + 1))
+        return ws.generate_sample(one_predictor(dist), plan, stream).X[:size, 0]
+
     def test_near_point_mass(self):
         dist = (1e-6, 1.0 - 2e-6, 1e-6)
-        draws = ws.draw_categorical(dist, ws.RngStream(5, 0, "synth"), size=10**6)
+        draws = self.event_draws(dist, ws.RngStream(5, 0, "synth"))
         assert np.mean(draws == 2) >= 0.999996
-
-    def test_scalar_draw(self):
-        idx = ws.draw_categorical((0.5, 0.5), ws.RngStream(5, 0, "synth"))
-        assert idx in (1, 2)
 
     def test_empirical_frequencies_config_b_x4(self):
         dist = ws.CONFIG_B.predictors[3].p_event  # (0.32, 0.60, 0.06, 0.02)
-        draws = ws.draw_categorical(dist, ws.RngStream(1234, 0, "synth"), size=10**6)
+        draws = self.event_draws(dist, ws.RngStream(1234, 0, "synth"))
         freqs = np.bincount(draws - 1, minlength=4) / 1e6
         assert np.max(np.abs(freqs - np.asarray(dist))) <= 0.002
 

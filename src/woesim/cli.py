@@ -16,14 +16,10 @@ from .charts import emit_chart
 from .curve import DEFAULT_AIV_GRID, fit_logistic_curve, guideline_table
 from .engine import DEFAULT_RATES, STUDY_SIZES, RunSpec, run_grid, summarize
 from .errors import (
-    ConfigError,
-    CurveFitError,
     DegeneratePlan,
     EmptyCell,
     InsufficientEvents,
     InsufficientPoints,
-    SchemaError,
-    TargetUnreachable,
     WoesimError,
 )
 from .rng import RngStream
@@ -32,9 +28,8 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_RUNTIME = 3
 
+# ConfigError and SchemaError are ValueErrors
 _INPUT_ERRORS = (
-    ConfigError,
-    SchemaError,
     DegeneratePlan,
     InsufficientEvents,
     InsufficientPoints,
@@ -212,7 +207,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (TargetUnreachable, CurveFitError, EmptyCell, WoesimError) as exc:
+    except WoesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -168,7 +168,7 @@ def population_woe(config: ConfigSpec, j: int, k: int) -> float:
         raise IndexError(
             f"bin index {k} out of range 1..{pred.n_bins} for predictor {pred.name!r}"
         )
-    return math.log(pred.p_nonevent[k - 1] / pred.p_event[k - 1])
+    return float(pred.woe()[k - 1])
 
 
 def iv_between(p_event: Sequence[float], p_nonevent: Sequence[float]) -> float:

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CurveFitError, InsufficientPoints
+from .scorecard import _newton_step
 
 #: Default tabulation grid for guideline tables: 0.5, 1.0, ..., 7.0.
 DEFAULT_AIV_GRID = tuple(0.5 * i for i in range(1, 15))
@@ -79,13 +80,7 @@ def _solve(M: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(M, g[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        steps = np.empty_like(g)
-        for i in range(len(M)):
-            try:
-                steps[i] = np.linalg.solve(M[i], g[i])
-            except np.linalg.LinAlgError:
-                steps[i] = np.linalg.lstsq(M[i], g[i], rcond=None)[0]
-        return steps
+        return np.stack([_newton_step(m, v) for m, v in zip(M, g)])
 
 
 # A steep candidate saturates the sigmoid: exp overflows to inf and the

@@ -23,7 +23,7 @@ from .metrics import (
     METRIC_P4,
     check_cutoff_grid,
     confusion,
-    default_cutoff_grid,
+    default_cutoff_grid,  # noqa: F401 - bench/layers.py traces it under this module
     f1,
     gini,
     optimize_cutoff,
@@ -172,7 +172,6 @@ def run_iteration(
     """
     if aiv is None:
         aiv = aggregate_iv(config).aiv
-    grid = default_cutoff_grid() if cutoff_grid is None else np.asarray(cutoff_grid, dtype=float)
     base = dict(
         config_id=config.id,
         aiv=aiv,
@@ -192,8 +191,8 @@ def run_iteration(
 
         val, val_w = compress(val, config.bin_counts)
         probs_val = predict_proba(model, transform(val, table))
-        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, grid, val_w)
-        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, grid, val_w)
+        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, cutoff_grid, val_w)
+        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, cutoff_grid, val_w)
 
         test, test_w = compress(test, config.bin_counts)
         probs_test = predict_proba(model, transform(test, table))
@@ -235,8 +234,6 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
 
 def _run_cell(args) -> list[IterationRecord]:
     config, plan, master_seed, iterations, theta_adj, cutoff_grid, aiv = args
-    # one grid array serves every iteration of the cell
-    grid = default_cutoff_grid() if cutoff_grid is None else np.asarray(cutoff_grid, dtype=float)
     return [
         run_iteration(
             config,
@@ -244,7 +241,7 @@ def _run_cell(args) -> list[IterationRecord]:
             master_seed,
             iteration,
             theta_adj=theta_adj,
-            cutoff_grid=grid,
+            cutoff_grid=cutoff_grid,
             aiv=aiv,
         )
         for iteration in range(iterations)

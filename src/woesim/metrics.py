@@ -54,21 +54,27 @@ class CutoffResult:
     metric_id: str
 
 
-def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _check_weights(weights, n: int) -> np.ndarray:
+    """Frequency weights of n rows (None: one each), refused unless they are
+    n nonnegative integers; a row of weight w counts as w identical rows."""
+    if weights is None:
+        return np.ones(n, dtype=np.int64)
+    w = np.asarray(weights)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have one entry per row ({n}), got shape {w.shape}")
+    if w.dtype.kind not in "iu" or np.count_nonzero(w < 0):
+        raise ValueError("weights must be nonnegative integers")
+    return w
+
+
+def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels)
     if p.ndim != 1 or y.ndim != 1 or p.shape != y.shape:
         raise ValueError(f"probs and labels must be equal-length vectors, got {p.shape} and {y.shape}")
     if p.size == 0:
         raise ValueError("need at least one observation")
-    if weights is None:
-        return p, y, None
-    w = np.asarray(weights)
-    if w.shape != p.shape:
-        raise ValueError(f"weights must match probs in length, got {w.shape} and {p.shape}")
-    if w.dtype.kind not in "iu" or w.min() < 0:
-        raise ValueError("weights must be nonnegative integers")
-    return p, y, w
+    return p, y, _check_weights(weights, p.size)
 
 
 def check_cutoff_grid(grid) -> np.ndarray:
@@ -86,7 +92,8 @@ def check_cutoff_grid(grid) -> np.ndarray:
 
 def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Counts per slot, events in row 0 and nonevents in row 1: the one
-    count kernel of this module.
+    count kernel of the package (``compress``, ``estimate_woe`` and every
+    metric count through it).
 
     ``w`` holds nonnegative integer row weights (None: one per row); a row
     of weight w counts exactly as w identical rows.  Integer weights sum
@@ -163,7 +170,7 @@ def gini(probs, labels, weights=None) -> float:
         # NaNs sort last and never equal each other: join them in one group
         starts[np.isnan(ranked).argmax() + 1:] = False
     group = starts.cumsum() - 1
-    e, g = _class_counts(group, int(group[-1]) + 1, y[order], None if w is None else w[order])
+    e, g = _class_counts(group, int(group[-1]) + 1, y[order], w[order])
     n1, n0 = int(e.sum()), int(g.sum())
     if n1 == 0 or n0 == 0:
         raise DegenerateDesign("gini needs at least one event and one nonevent")

@@ -10,6 +10,7 @@ import numpy as np
 
 from .configs import ConfigSpec, EventRate
 from .errors import DegeneratePlan, InsufficientEvents
+from .metrics import _class_counts
 from .rng import RngStream
 
 
@@ -57,9 +58,16 @@ def make_plan(n: int, rate: EventRate, clamp: bool = True) -> SamplingPlan:
     return SamplingPlan(n=n, n1=n1, pi1=rate.pi1)
 
 
+def _check_labels(y: np.ndarray) -> None:
+    """Refuse labels other than 0 and 1, NaN included: every nonzero must be a 1."""
+    if y.dtype.kind != "b" and np.count_nonzero(y) != np.count_nonzero(y == 1):
+        raise ValueError("labels must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class Sample:
-    """Bin-index design matrix (1-based entries) plus its 0/1 response vector.
+    """Bin-index design matrix (1-based entries) plus its 0/1 response vector;
+    labels other than 0 and 1 are refused.
 
     Event rows come first by construction; every downstream estimator is
     invariant under row permutation, so the fixed order is purely for
@@ -71,11 +79,13 @@ class Sample:
 
     def __post_init__(self) -> None:
         X = np.ascontiguousarray(self.X, dtype=np.int64)
-        Y = np.ascontiguousarray(self.Y, dtype=np.int64)
+        Y = np.asarray(self.Y)
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(
                 f"X must be (n, d) and Y length n; got {X.shape} and {Y.shape}"
             )
+        _check_labels(Y)
+        Y = np.ascontiguousarray(Y, dtype=np.int64)
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -126,8 +136,8 @@ def generate_sample(
         X[:n1, j] = cum_event.searchsorted(u[j, :n1], side="right")
         X[n1:, j] = cum_nonevent.searchsorted(u[j, n1:], side="right")
     X += 1
-    Y = np.zeros(n, dtype=np.int64)
-    Y[:n1] = 1
+    Y = np.zeros(n, dtype=bool)  # 0/1 by type, so ``Sample`` need not scan it
+    Y[:n1] = True
     return Sample(X=X, Y=Y)
 
 
@@ -157,7 +167,7 @@ def compress(sample: Sample, bin_counts: Sequence[int]) -> tuple[Sample, np.ndar
     except ValueError:
         raise IndexError(f"bin index outside 1..{tuple(bin_counts)}") from None
     # slot = cell for events, K + cell for nonevents
-    counts = np.bincount(code + n_cells * (sample.Y != 1), minlength=2 * n_cells)
+    counts = _class_counts(code, n_cells, sample.Y, None).ravel()
     slots = np.flatnonzero(counts)
     X = np.column_stack(np.unravel_index(slots % n_cells, bin_counts)) + 1
     return Sample(X=X, Y=slots < n_cells), counts[slots]

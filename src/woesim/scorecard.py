@@ -11,7 +11,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateDesign, NoEvents, NoNonevents
-from .sampling import Sample
+from .metrics import _check_weights, _class_counts
+from .sampling import Sample, _check_labels
 
 #: Linear predictors are clamped to this magnitude inside every probability
 #: evaluation, which keeps log-likelihoods finite under separation.
@@ -110,14 +111,7 @@ def estimate_woe(
         raise ValueError(
             f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
         )
-    if weights is None:
-        w = np.ones(sample.n, dtype=np.int64)
-    else:
-        w = np.asarray(weights)
-        if w.shape != (sample.n,):
-            raise ValueError("weights length must match sample rows")
-        if w.dtype.kind not in "iu" or (w < 0).any():
-            raise ValueError("weights must be nonnegative integers")
+    w = _check_weights(weights, sample.n)
     n1 = int(w @ sample.Y)
     n0 = int(w.sum()) - n1
     if n1 == 0:
@@ -127,14 +121,14 @@ def estimate_woe(
 
     n_bins = np.asarray(bin_counts, dtype=np.int64)
     _check_bins(sample.X, n_bins)
-    # one count slot per (class, predictor, bin), events first
+    # one count slot per (predictor, bin); every entry of a row carries its class and weight
     ends, offsets = _bin_layout(n_bins)
-    total = int(n_bins.sum())
-    slots = sample.X + (offsets + total * (sample.Y != 1)[:, None])
-    counts = np.bincount(
-        slots.ravel(), np.repeat(w, sample.d), minlength=2 * total
-    ).astype(np.int64)
-    c1, c0 = counts[:total], counts[total:]
+    c1, c0 = _class_counts(
+        (sample.X + offsets).ravel(),
+        int(n_bins.sum()),
+        np.repeat(sample.Y, sample.d),
+        np.repeat(w, sample.d),
+    )
     with np.errstate(divide="ignore"):
         woe = adjusted_woe(c0, c1, n0, n1, theta_adj)
     bounds = ends.tolist()
@@ -213,9 +207,10 @@ def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
     """Fit the Bernoulli MLE by Newton iterations with step halving.
 
-    ``weights`` (default: one per row) are nonnegative frequency weights:
-    a row of weight w counts as w identical rows, so a sample reduced to
-    weighted cells fits the same model as the rows behind it.
+    ``responses`` are 0/1 labels.  ``weights`` (default: one per row) are
+    nonnegative integer frequency weights: a row of weight w counts as w
+    identical rows, so a sample reduced to weighted cells fits the same
+    model as the rows behind it.
 
     Starts at beta = 0 and declares convergence when the score vector's
     max-norm drops under 1e-8 or the log-likelihood moves by less than
@@ -231,14 +226,8 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     y = np.asarray(responses, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("responses length must match feature rows")
-    if weights is None:
-        w = np.ones(X.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights length must match feature rows")
-        if not (np.isfinite(w) & (w >= 0.0)).all():
-            raise ValueError("weights must be finite and nonnegative")
+    _check_labels(y)
+    w = _check_weights(weights, X.shape[0]).astype(float)
     event_w, nonevent_w = w * y, w * (1.0 - y)
     event_weight = float(event_w.sum())
     if event_weight == 0.0 or event_weight == float(w.sum()):
@@ -268,16 +257,15 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
         curvature *= resid
         np.multiply(design, curvature[:, None], out=scaled)
         step = _newton_step(scaled.T @ design, grad)
-        new_beta = beta + step
-        new_p = _clamped_probs(design @ new_beta)
-        new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
-        halvings = 0
-        while new_ll < ll and halvings < _MAX_HALVINGS:
-            step = 0.5 * step
+        # trial 0 takes the full step, each later trial half the one before;
+        # the first trial whose log-likelihood is not below ll (NaN included) is kept
+        for _ in range(_MAX_HALVINGS + 1):
             new_beta = beta + step
             new_p = _clamped_probs(design @ new_beta)
             new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
-            halvings += 1
+            if not new_ll < ll:
+                break
+            step = 0.5 * step
         moved = abs(new_ll - ll)
         beta, p, ll = new_beta, new_p, new_ll
         if moved < _LOGLIK_TOL:

@@ -162,6 +162,17 @@ class TestLockStepStarts:
         assert same(steps[1], np.linalg.lstsq(M[1], g[1], rcond=None)[0])
         assert same(steps[2], np.linalg.solve(M[2], g[2]))
 
+    def test_regular_matrices_beside_a_singular_one_keep_the_solve_bytes(self):
+        # general matrices, whose least-squares steps differ from the solve in the last bits
+        gen = np.random.default_rng(8)
+        M = gen.normal(size=(6, 3, 3))
+        M[3] = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])
+        g = gen.normal(size=(6, 3))
+        steps = curve._solve(M, g)
+        for i in range(6):
+            expected = np.linalg.lstsq(M[i], g[i], rcond=None)[0] if i == 3 else np.linalg.solve(M[i], g[i])
+            assert same(steps[i], expected)
+
 
 @pytest.fixture(scope="module")
 def fits():

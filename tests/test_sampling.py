@@ -122,6 +122,18 @@ class TestDrawCategorical:
         assert np.max(np.abs(freqs - np.asarray(dist))) <= 0.002
 
 
+class TestSample:
+    @pytest.mark.parametrize("label", [2, np.nan])
+    def test_labels_outside_0_1_rejected(self, label):
+        # a 2 would count as an event in n_event but a nonevent in the bin counts
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ws.Sample(X=np.ones((4, 1), dtype=np.int64), Y=np.array([label, 0, 0, 1]))
+
+    def test_bool_labels_become_int64(self):
+        sample = ws.Sample(X=np.ones((3, 1), dtype=np.int64), Y=np.array([True, False, True]))
+        assert sample.Y.dtype == np.int64 and sample.Y.tolist() == [1, 0, 1]
+
+
 class TestGenerateSample:
     def test_response_layout(self):
         plan = ws.SamplingPlan(n=10, n1=3, pi1=0.3)

@@ -1,6 +1,7 @@
 """WoE estimation, the WoE transform, and the logistic MLE."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,23 @@ def build_sample(bins_by_row, labels):
     if X.ndim == 1:
         X = X[:, None]
     return ws.Sample(X=X, Y=np.asarray(labels, dtype=np.int64))
+
+
+#: Each weighted entry point called on three rows, with the weights to check.
+WEIGHTED_ENTRY_POINTS = {
+    "estimate_woe": lambda w: ws.estimate_woe(build_sample([1, 2, 1], [1, 0, 0]), (2,), weights=w),
+    "fit_logistic": lambda w: ws.fit_logistic(np.array([[0.5], [-0.5], [0.5]]), np.array([1.0, 0.0, 0.0]), w),
+    "confusion": lambda w: ws.confusion((0.9, 0.2, 0.8), (1, 0, 0), 0.5, w),
+    "optimize_cutoff": lambda w: ws.optimize_cutoff((0.9, 0.2, 0.8), (1, 0, 0), "f1", weights=w),
+    "gini": lambda w: ws.gini((0.9, 0.2, 0.8), (1, 0, 0), w),
+}
+
+#: Weights that break the frequency-weight rule: one nonnegative integer per row.
+BAD_WEIGHTS = {
+    "wrong length": np.array([1, 2]),
+    "negative": np.array([1, -1, 2]),
+    "fractional": np.array([1.0, 2.0, 1.0]),
+}
 
 
 class TestAdjustedWoe:
@@ -59,10 +77,20 @@ class TestEstimateWoe:
             ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1]), (2,))
 
     def test_bad_weights_rejected(self):
-        sample = build_sample([1, 2, 1], [1, 0, 0])
-        for weights in ([1, 2], [1, -1, 2], [1.0, 2.0, 1.0]):
-            with pytest.raises(ValueError, match="weights"):
-                ws.estimate_woe(sample, (2,), weights=np.asarray(weights))
+        # one weight rule for every weighted entry point, WoE estimate included
+        accepted = []
+        for (entry, call), (case, weights) in itertools.product(
+            WEIGHTED_ENTRY_POINTS.items(), BAD_WEIGHTS.items()
+        ):
+            try:
+                call(weights)
+            except ValueError as exc:
+                assert "weights" in str(exc), (entry, case, exc)
+            else:
+                accepted.append((entry, case))
+        assert accepted == []
+        for call in WEIGHTED_ENTRY_POINTS.values():
+            call(np.array([1, 2, 1]))
 
     def test_out_of_range_bin_names_predictor(self):
         sample = build_sample([[1, 2], [2, 3], [1, 1]], [1, 0, 0])
@@ -193,6 +221,18 @@ class TestFitLogistic:
         F[0] = np.inf
         with pytest.raises(ValueError):
             ws.fit_logistic(F, np.array([1, 0, 1, 0]))
+
+    @pytest.mark.parametrize("label", [2.0, np.nan])
+    def test_responses_outside_0_1_rejected(self, label):
+        F = np.linspace(-1.0, 1.0, 6)[:, None]
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ws.fit_logistic(F, np.array([1.0, 0.0, 1.0, 0.0, 0.0, label]))
+
+    def test_nonfinite_features_are_reported_before_labels(self):
+        F = np.zeros((4, 1))
+        F[0] = np.nan
+        with pytest.raises(ValueError, match="features must be finite"):
+            ws.fit_logistic(F, np.array([1.0, 0.0, 2.0, 0.0]))
 
     def test_coefficient_recovery_under_population_woe_features(self):
         plan = ws.SamplingPlan(n=100000, n1=10000, pi1=0.10)

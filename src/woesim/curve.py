@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CurveFitError, InsufficientPoints
-from .scorecard import _newton_step
+from .scorecard import _newton_step, _solve as _stacked_solve
 
 #: Default tabulation grid for guideline tables: 0.5, 1.0, ..., 7.0.
 DEFAULT_AIV_GRID = tuple(0.5 * i for i in range(1, 15))
@@ -26,6 +26,8 @@ _MAX_ITER = 200
 _REL_TOL = 1e-10
 _L_MIN = 1e-8
 _K_MIN = 1e-8
+#: Index of every running start, as a view.
+_EVERY = slice(None)
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,12 @@ def _jacobian(theta: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _solve(M: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve each M[i] @ step[i] = g[i]; least squares only where M[i] is singular."""
+    """Solve each M[i] @ step[i] = g[i]; least squares only where M[i] is singular.
+
+    One call of the fit's LAPACK solve broadcasts over the whole stack.
+    """
     try:
-        return np.linalg.solve(M, g[:, :, None])[:, :, 0]
+        return _stacked_solve(M, g)
     except np.linalg.LinAlgError:
         return np.stack([_newton_step(m, v) for m, v in zip(M, g)])
 
@@ -110,7 +115,9 @@ def _damped_gauss_newton(
         JT = J.transpose(0, 2, 1)
         g = (JT @ r[:, :, None])[:, :, 0]
         A = JT @ J
-        pending = np.arange(len(rows))  # starts with no accepted step yet
+        # the first try runs on views of every running start; index arrays
+        # of the starts still rejected are built only for the retries
+        pending = _EVERY
         keep = np.zeros(len(rows), dtype=bool)
         for _ in range(40):
             step = _solve(A[pending] + damping[pending, None, None] * eye, g[pending])
@@ -119,15 +126,15 @@ def _damped_gauss_newton(
             cand_r = y - cand[:, 0:1] * cand_s
             new_rss = _sum_squares(cand_r)
             ok = np.isfinite(new_rss) & (new_rss <= rss[pending])
-            won = pending[ok]
+            won = ok if pending is _EVERY else pending[ok]
             improvement = rss[won] - new_rss[ok]
             theta[won], s[won], r[won], rss[won] = cand[ok], cand_s[ok], cand_r[ok], new_rss[ok]
             damping[won] = np.maximum(damping[won] / 3.0, 1e-12)
             keep[won] = improvement > _REL_TOL * np.maximum(rss[won], 1e-300)
-            pending = pending[~ok]
-            damping[pending] *= 10.0
-            if pending.size == 0:
+            if ok.all():
                 break
+            pending = np.flatnonzero(~ok) if pending is _EVERY else pending[~ok]
+            damping[pending] *= 10.0
         if not keep.all():
             out_theta[rows], out_rss[rows] = theta, rss
             rows, theta, s, r, rss, damping = (

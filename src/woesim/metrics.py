@@ -6,7 +6,7 @@ an observation is classified positive when its score is >= the cutoff, and
 every 0/0 metric value collapses to 0 rather than propagating NaN into
 quantile summaries.  Every count comes from one integer kernel over scores
 with optional integer row weights, a row of weight w counting exactly as w
-identical rows.
+identical rows.  Labels other than 0 and 1 are refused.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _check_labels(y: np.ndarray) -> None:
+    """Refuse labels other than 0 and 1, NaN included: every nonzero must be a 1."""
+    if y.dtype.kind != "b" and np.count_nonzero(y) != np.count_nonzero(y == 1):
+        raise ValueError("labels must be 0 or 1")
+
+
 def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.asarray(probs, dtype=float)
     y = np.asarray(labels)
@@ -74,6 +80,7 @@ def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValueError(f"probs and labels must be equal-length vectors, got {p.shape} and {y.shape}")
     if p.size == 0:
         raise ValueError("need at least one observation")
+    _check_labels(y)
     return p, y, _check_weights(weights, p.size)
 
 

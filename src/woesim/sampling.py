@@ -10,7 +10,7 @@ import numpy as np
 
 from .configs import ConfigSpec, EventRate
 from .errors import DegeneratePlan, InsufficientEvents
-from .metrics import _class_counts
+from .metrics import _check_labels, _class_counts
 from .rng import RngStream
 
 
@@ -56,12 +56,6 @@ def make_plan(n: int, rate: EventRate, clamp: bool = True) -> SamplingPlan:
             )
         return SamplingPlan(n=n, n1=1, pi1=rate.pi1, clamped=True)
     return SamplingPlan(n=n, n1=n1, pi1=rate.pi1)
-
-
-def _check_labels(y: np.ndarray) -> None:
-    """Refuse labels other than 0 and 1, NaN included: every nonzero must be a 1."""
-    if y.dtype.kind != "b" and np.count_nonzero(y) != np.count_nonzero(y == 1):
-        raise ValueError("labels must be 0 or 1")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateDesign, NoEvents, NoNonevents
-from .metrics import _check_weights, _class_counts
-from .sampling import Sample, _check_labels
+from .metrics import _check_labels, _check_weights, _class_counts
+from .sampling import Sample
 
 #: Linear predictors are clamped to this magnitude inside every probability
 #: evaluation, which keeps log-likelihoods finite under separation.
@@ -186,7 +186,7 @@ def _raise_singular(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-# The LAPACK gufunc behind ``np.linalg.solve``, run under the error state that
+# The LAPACK gufunc behind ``numpy.linalg.solve``, run under the error state that
 # wrapper sets, so LAPACK's singular-matrix flag raises ``LinAlgError``; the
 # wrapper's array checks cost more than the 5x5 solve itself.
 _solve = np.errstate(
@@ -195,7 +195,7 @@ _solve = np.errstate(
 
 
 def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve ``hessian @ step = grad`` as ``np.linalg.solve`` does; a singular
+    """Solve ``hessian @ step = grad`` as ``numpy.linalg.solve`` does; a singular
     ``hessian`` (e.g. from constant feature columns) gives the minimum-norm
     least-squares step instead."""
     try:

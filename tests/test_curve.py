@@ -146,6 +146,35 @@ class TestLockStepStarts:
         fit = ws.fit_logistic_curve(points)
         assert (fit.L, fit.k, fit.x0, fit.rss) == (*best[0].tolist(), float(best[1]))
 
+    def test_batch_mixing_first_try_and_retries_matches_each_start_alone(self, monkeypatch):
+        # per outer iteration: the running start count, then the stack size of each try
+        tries = []
+        jacobian, solve = curve._jacobian, curve._solve
+
+        def counting_jacobian(theta, s, a):
+            tries.append([len(theta)])
+            return jacobian(theta, s, a)
+
+        def counting_solve(M, g):
+            tries[-1].append(len(M))
+            return solve(M, g)
+
+        monkeypatch.setattr(curve, "_jacobian", counting_jacobian)
+        monkeypatch.setattr(curve, "_solve", counting_solve)
+        a = np.asarray([p[0] for p in NOISY_POINTS])
+        y = np.asarray([p[1] for p in NOISY_POINTS])
+        starts = curve._lattice_starts(a)
+        theta, rss = curve._damped_gauss_newton(a, y, starts)
+        # some outer iterations end on the first try over every running start;
+        # in others some starts accept that try while the rest retry
+        assert all(sizes[1] == sizes[0] for sizes in tries)
+        assert any(len(sizes) == 2 for sizes in tries)
+        assert any(len(sizes) > 2 and 0 < sizes[2] < sizes[0] for sizes in tries)
+        monkeypatch.undo()
+        for i in range(len(starts)):
+            alone_theta, alone_rss = curve._damped_gauss_newton(a, y, starts[i:i + 1])
+            assert same(alone_theta[0], theta[i]) and same(alone_rss[0], rss[i])
+
     def test_lattice_order(self):
         starts = curve._lattice_starts(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert starts.shape == (27, 3)

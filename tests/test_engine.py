@@ -151,6 +151,28 @@ class TestRunGrid:
         spec = small_spec(sizes=(60, 100), rates=(0.05, 0.10), iterations=5)
         assert ws.run_grid(spec, workers=1) == ws.run_grid(spec, workers=3)
 
+    def test_custom_cutoff_grid_converted_once_per_cell(self, monkeypatch):
+        grid = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
+        spec = small_spec(cutoff_grid=grid, sizes=(60, 300))
+        # each iteration alone, handed the spec's tuple as the cells once did
+        expected = [
+            ws.run_iteration(config, plan, spec.master_seed, i, cutoff_grid=spec.cutoff_grid)
+            for config, plan in engine._plans_for(spec)
+            for i in range(spec.iterations)
+        ]
+        seen = []
+        search = engine.optimize_cutoff
+
+        def spy(probs, labels, metric_id, grid=None, weights=None):
+            seen.append(grid)
+            return search(probs, labels, metric_id, grid, weights)
+
+        monkeypatch.setattr(engine, "optimize_cutoff", spy)
+        records = ws.run_grid(spec)
+        assert records == expected
+        assert len(seen) == 2 * len(records)
+        assert all(isinstance(g, np.ndarray) and g.tolist() == list(grid) for g in seen)
+
     def test_fixed_events_records_effective_rates(self):
         spec = ws.RunSpec(
             configs=(ws.CONFIG_B,),

@@ -231,3 +231,20 @@ class TestOptimizeCutoff:
         grid = ws.default_cutoff_grid()
         assert len(grid) == 999
         assert grid[0] == 0.001 and grid[-1] == 0.999
+
+
+# each metric once, on three rows whose last label is replaced
+LABELLED_METRICS = {
+    "confusion": lambda probs, labels: ws.confusion(probs, labels, 0.5),
+    "gini": ws.gini,
+    "optimize_cutoff": lambda probs, labels: ws.optimize_cutoff(probs, labels, ws.METRIC_F1),
+}
+
+
+@pytest.mark.parametrize("bad", [2, np.nan], ids=["two", "nan"])
+@pytest.mark.parametrize("metric", sorted(LABELLED_METRICS))
+def test_labels_other_than_0_and_1_refused(metric, bad):
+    # such a label used to count as a nonevent: confusion((0.9, 0.2), (2, 0), 0.5)
+    # gave tp=0, fp=1, fn=0, tn=1, while Sample and fit_logistic refused it
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        LABELLED_METRICS[metric]((0.9, 0.2, 0.5), (1, 0, bad))

@@ -8,7 +8,8 @@ Newton step solves as ``np.linalg.solve`` does and falls back to least
 squares exactly where that raises.  The results and
 summary CSVs round-trip any record, the config synthesiser either hits
 its target or says it cannot, the sampler consumes its stream in the
-documented order, and the grid's records do not depend on the schedule.
+documented order, the grid's records do not depend on the schedule, and
+each summary quantile is the one ``np.quantile`` gives on its field alone.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
-from woesim import io, scorecard
+from woesim import engine, io, scorecard
 from woesim.configs import bin_cdf
 
 GRID = ws.default_cutoff_grid()
@@ -330,3 +331,53 @@ def test_run_grid_records_do_not_depend_on_the_schedule(configs, sizes, rates, i
     )
     # degenerate records hold NaN, which never equals itself, so compare reprs
     assert repr(ws.run_grid(spec, workers=2)) == repr(ws.run_grid(spec))
+
+
+# ties, signed zeros and NaN; inf is left out, as np.quantile warns on it
+_SUMMARY_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, math.nan]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_METRIC_FIELDS = [f.name for f in dataclasses.fields(ws.IterationRecord)][7:]
+
+
+@st.composite
+def summary_cells(draw):
+    """Records of one or two cells, degenerate (all-NaN) records mixed in."""
+    records = []
+    for n in draw(st.sets(st.sampled_from([50, 100, 250]), min_size=1, max_size=2)):
+        size = draw(st.integers(1, 40))
+        degenerate = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        degenerate[draw(st.integers(0, size - 1))] = False  # one valid record at least
+        for i, flagged in enumerate(degenerate):
+            row = {name: math.nan if flagged else draw(_SUMMARY_VALUE) for name in _METRIC_FIELDS}
+            if not flagged:
+                row["f1_val"] = draw(_SUMMARY_VALUE.filter(lambda v: not math.isnan(v)))
+            records.append(ws.IterationRecord(
+                config_id="B", aiv=1.5, n=n, event_rate=0.05, iteration=i,
+                clamped=False, converged=not flagged and draw(st.booleans()), **row,
+            ))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=60)
+@given(summary_cells())
+def test_summary_quantiles_equal_one_quantile_call_per_field(records):
+    expected = []
+    for n in sorted({r.n for r in records}):
+        valid = [r for r in records if r.n == n and r.valid]
+        for metric, split in engine.SUMMARY_FIELDS:
+            field = metric if metric.startswith("theta") else f"{metric}_{split}"
+            values = np.asarray([getattr(r, field) for r in valid])
+            p05, q25, median, q75, p95 = np.quantile(values, (0.05, 0.25, 0.50, 0.75, 0.95))
+            expected.append([
+                n, metric, split, repr(float(median)), repr(float(q25)), repr(float(q75)),
+                repr(float(p05)), repr(float(p95)), len(valid), sum(not r.converged for r in valid),
+            ])
+    expected.sort(key=lambda row: row[:3])  # summaries come in (cell, metric, split) order
+    summary = [
+        [r.n, r.metric, r.split, repr(r.median), repr(r.q25), repr(r.q75),
+         repr(r.p05), repr(r.p95), r.n_iter, r.n_nonconverged]
+        for r in ws.summarize(records)
+    ]
+    assert summary == expected

@@ -64,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="paper",
                    help="comma-separated sample sizes, or 'paper' for the default grid")
     p.add_argument("--iters", type=int, default=500, help="Monte Carlo iterations per cell")
-    p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    p.add_argument("--theta-adj", type=float, default=0.5, help="WoE adjustment factor")
+    p.add_argument("--seed", type=int, default=0, help="master seed, 0 <= seed < 2**64")
+    p.add_argument("--theta-adj", type=float, default=0.5,
+                   help="WoE adjustment factor, finite and nonnegative")
     p.add_argument("--fixed-events", type=int, default=None,
                    help="fix the event count per sample, ignoring --rates")
     p.add_argument("--no-clamp", action="store_true",
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated bin counts, one per predictor")
     p.add_argument("--aiv", type=float, required=True, help="target aggregate information value")
     p.add_argument("--tol", type=float, default=0.05, help="acceptable AIV deviation")
-    p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+    p.add_argument("--seed", type=int, default=0, help="master seed, 0 <= seed < 2**64")
     p.add_argument("--id", default=None, help="config id to embed (default derived)")
     p.add_argument("--out", required=True, help="config JSON path")
 

@@ -26,8 +26,6 @@ _MAX_ITER = 200
 _REL_TOL = 1e-10
 _L_MIN = 1e-8
 _K_MIN = 1e-8
-#: Index of every running start, as a view.
-_EVERY = slice(None)
 
 
 @dataclass(frozen=True)
@@ -39,6 +37,9 @@ class CurveFit:
     x0: float
     rss: float
 
+    # far below a steep curve's midpoint exp overflows to inf and the value
+    # is L / inf = 0.0, as intended
+    @np.errstate(over="ignore")
     def predict(self, aiv):
         """Curve value(s) at the given association strength(s)."""
         a = np.asarray(aiv, dtype=float)
@@ -105,45 +106,39 @@ def _damped_gauss_newton(
     s = _sigmoid(theta, a)
     r = y - theta[:, 0:1] * s
     rss = _sum_squares(r)
-    out_theta, out_rss = theta.copy(), rss.copy()
-    # state of the running starts only; ``rows`` maps them to ``starts``
-    rows = np.arange(len(theta))
     damping = np.full(len(theta), 1e-3)
     eye = np.eye(3)
+    # every try runs on the whole stack; only the masked rows take its result,
+    # so a stopped or already accepted start's state is never written again
+    running = np.ones(len(theta), dtype=bool)
     for _ in range(_MAX_ITER):
         J = _jacobian(theta, s, a)
         JT = J.transpose(0, 2, 1)
         g = (JT @ r[:, :, None])[:, :, 0]
         A = JT @ J
-        # the first try runs on views of every running start; index arrays
-        # of the starts still rejected are built only for the retries
-        pending = _EVERY
-        keep = np.zeros(len(rows), dtype=bool)
+        pending = running.copy()
+        keep = np.zeros(len(theta), dtype=bool)
         for _ in range(40):
-            step = _solve(A[pending] + damping[pending, None, None] * eye, g[pending])
-            cand = _project(theta[pending] + step)
+            cand = _project(theta + _solve(A + damping[:, None, None] * eye, g))
             cand_s = _sigmoid(cand, a)
             cand_r = y - cand[:, 0:1] * cand_s
             new_rss = _sum_squares(cand_r)
-            ok = np.isfinite(new_rss) & (new_rss <= rss[pending])
-            won = ok if pending is _EVERY else pending[ok]
-            improvement = rss[won] - new_rss[ok]
-            theta[won], s[won], r[won], rss[won] = cand[ok], cand_s[ok], cand_r[ok], new_rss[ok]
-            damping[won] = np.maximum(damping[won] / 3.0, 1e-12)
-            keep[won] = improvement > _REL_TOL * np.maximum(rss[won], 1e-300)
-            if ok.all():
+            won = pending & np.isfinite(new_rss) & (new_rss <= rss)
+            improvement = rss - new_rss
+            np.copyto(theta, cand, where=won[:, None])
+            np.copyto(s, cand_s, where=won[:, None])
+            np.copyto(r, cand_r, where=won[:, None])
+            np.copyto(rss, new_rss, where=won)
+            np.copyto(damping, np.maximum(damping / 3.0, 1e-12), where=won)
+            np.copyto(keep, improvement > _REL_TOL * np.maximum(rss, 1e-300), where=won)
+            pending &= ~won
+            if not pending.any():
                 break
-            pending = np.flatnonzero(~ok) if pending is _EVERY else pending[~ok]
-            damping[pending] *= 10.0
-        if not keep.all():
-            out_theta[rows], out_rss[rows] = theta, rss
-            rows, theta, s, r, rss, damping = (
-                v[keep] for v in (rows, theta, s, r, rss, damping)
-            )
-            if rows.size == 0:
-                break
-    out_theta[rows], out_rss[rows] = theta, rss
-    return out_theta, out_rss
+            np.multiply(damping, 10.0, out=damping, where=pending)
+        running &= keep
+        if not running.any():
+            break
+    return theta, rss
 
 
 def _lattice_starts(a: np.ndarray) -> np.ndarray:
@@ -170,10 +165,10 @@ def fit_logistic_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
         raise InsufficientPoints("curve fit needs distinct strength values")
 
     theta, rss = _damped_gauss_newton(a, y, _lattice_starts(a))
-    finite = np.flatnonzero(np.all(np.isfinite(theta), axis=1) & np.isfinite(rss))
-    if finite.size == 0:
+    finite = np.all(np.isfinite(theta), axis=1) & np.isfinite(rss)
+    if not finite.any():
         raise CurveFitError("all curve-fit starts diverged")
-    best = finite[np.argmin(rss[finite])]
+    best = np.argmin(np.where(finite, rss, np.inf))
     L, k, x0 = theta[best]
     return CurveFit(L=float(L), k=float(k), x0=float(x0), rss=float(rss[best]))
 

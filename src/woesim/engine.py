@@ -30,9 +30,9 @@ from .metrics import (
     optimize_cutoff,
     p4,
 )
-from .rng import RngStream
+from .rng import RngStream, check_master_seed
 from .sampling import SamplingPlan, compress, generate_sample, make_plan
-from .scorecard import estimate_woe, fit_logistic, predict_proba, transform
+from .scorecard import check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform
 
 #: Sample sizes the default grid sweeps.
 STUDY_SIZES = (50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 750, 1000, 1500, 2000, 2500)
@@ -95,6 +95,8 @@ class RunSpec:
             raise ValueError("iterations must be at least 1")
         if self.fixed_events is not None and self.fixed_events < 1:
             raise ValueError("fixed_events must be at least 1 when given")
+        check_master_seed(self.master_seed)
+        check_theta_adj(self.theta_adj)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ _MASK64 = (1 << 64) - 1
 ROLE_TAGS = {"train": 1, "val": 2, "test": 3, "synth": 4}
 
 
+def check_master_seed(master_seed: int) -> None:
+    """Refuse a master seed outside [0, 2**64), which masking would alias."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
+
+
 def splitmix64(z: int) -> int:
     """One round of the SplitMix64 finalizer (64-bit avalanche mix)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -43,6 +49,7 @@ class RngStream:
     role: str = "synth"
 
     def __post_init__(self) -> None:
+        check_master_seed(self.master_seed)
         if self.role not in ROLE_TAGS:
             raise ValueError(f"unknown stream role {self.role!r}")
         if self.iteration < 0:

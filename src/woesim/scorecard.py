@@ -90,6 +90,13 @@ def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
     return np.log((n0jk + theta_adj) / n0) - np.log((n1jk + theta_adj) / n1)
 
 
+def check_theta_adj(theta_adj: float) -> None:
+    """Refuse a WoE adjustment that is not finite and nonnegative."""
+    # written so that a NaN, which compares false both ways, fails the test
+    if not 0.0 <= theta_adj < np.inf:
+        raise ValueError(f"theta_adj must be finite and nonnegative, got {theta_adj}")
+
+
 def estimate_woe(
     sample: Sample, bin_counts: Sequence[int], theta_adj: float = 0.5, weights=None
 ) -> WoeTable:
@@ -105,8 +112,7 @@ def estimate_woe(
     reduced to weighted cells (see ``compress``) gives the table of the rows
     behind it.
     """
-    if theta_adj < 0.0:
-        raise ValueError(f"theta_adj must be nonnegative, got {theta_adj}")
+    check_theta_adj(theta_adj)
     if len(bin_counts) != sample.d:
         raise ValueError(
             f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"

@@ -1,5 +1,8 @@
 """Logistic curve fitting and the attainable-score guideline table."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,13 +167,36 @@ class TestLockStepStarts:
         a = np.asarray([p[0] for p in NOISY_POINTS])
         y = np.asarray([p[1] for p in NOISY_POINTS])
         starts = curve._lattice_starts(a)
+        # the tries of each start run alone, then those of the batch
+        alone = []
+        for i in range(len(starts)):
+            curve._damped_gauss_newton(a, y, starts[i:i + 1])
+            alone.append(tries.copy())
+            tries.clear()
         theta, rss = curve._damped_gauss_newton(a, y, starts)
         # some outer iterations end on the first try over every running start;
         # in others some starts accept that try while the rest retry
         assert all(sizes[1] == sizes[0] for sizes in tries)
         assert any(len(sizes) == 2 for sizes in tries)
-        assert any(len(sizes) > 2 and 0 < sizes[2] < sizes[0] for sizes in tries)
+        assert any(
+            len(sizes) > 2 and any(len(lone) > t and len(lone[t]) == 2 for lone in alone)
+            for t, sizes in enumerate(tries)
+        )
         monkeypatch.undo()
+        for i in range(len(starts)):
+            alone_theta, alone_rss = curve._damped_gauss_newton(a, y, starts[i:i + 1])
+            assert same(alone_theta[0], theta[i]) and same(alone_rss[0], rss[i])
+
+    @settings(max_examples=20, deadline=None)
+    @given(curve_points(), st.lists(
+        st.tuples(st.floats(-0.5, 1.5), st.floats(-2.0, 20.0), st.floats(-5.0, 25.0)),
+        min_size=1, max_size=12,
+    ))
+    def test_random_starts_in_and_out_of_the_box_never_couple(self, points, starts):
+        a = np.asarray([p[0] for p in points])
+        y = np.asarray([p[1] for p in points])
+        starts = np.asarray(starts)
+        theta, rss = curve._damped_gauss_newton(a, y, starts)
         for i in range(len(starts)):
             alone_theta, alone_rss = curve._damped_gauss_newton(a, y, starts[i:i + 1])
             assert same(alone_theta[0], theta[i]) and same(alone_rss[0], rss[i])
@@ -228,6 +254,15 @@ class TestGuidelineTable:
         for j in range(len(table.aiv_grid)):
             column = [table.values[i][j] for i in range(len(table.rates))]
             assert all(b >= a for a, b in zip(column, column[1:]))
+
+    def test_steep_fit_tabulates_zero_below_its_step_without_overflow_warning(self):
+        fit = ws.fit_logistic_curve([(0.5, 0.0), (3.0, 0.0), (3.01, 0.2), (7.0, 0.2)])
+        assert fit.k > 1000.0  # exp overflows at every grid strength up to 2.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = ws.guideline_table({0.01: fit}).values
+        assert all(math.isfinite(v) for v in row)
+        assert row[:5] == (0.0,) * 5
 
     def test_missing_rate_rejected(self, fits):
         with pytest.raises(ValueError, match="no curve fit"):

@@ -60,6 +60,18 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="config ids must be distinct"):
             small_spec(configs=(ws.CONFIG_B, renamed_a))
 
+    @pytest.mark.parametrize("theta_adj", [math.nan, math.inf, -1.0])
+    def test_bad_theta_adj_refused(self, theta_adj):
+        # nan and -1 used to abort the grid at the first iteration, inf gave NaN WoE
+        with pytest.raises(ValueError, match="theta_adj"):
+            small_spec(theta_adj=theta_adj)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_master_seed_outside_u64_refused(self, seed):
+        # masked to 64 bits, such a seed used to alias another one's stream
+        with pytest.raises(ValueError, match="master seed"):
+            small_spec(master_seed=seed)
+
     def test_cutoff_grid_checked_up_front(self):
         # used to fail only inside the first iteration
         with pytest.raises(ValueError, match="inside"):

@@ -239,6 +239,34 @@ class TestCli:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta_adj", ["nan", "inf", "-1"])
+    def test_run_refuses_bad_theta_adj_up_front(self, tmp_path, capsys, theta_adj):
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "B", "--rates", "0.1", "--sizes", "60",
+            "--iters", "2", "--theta-adj", theta_adj, "--out", str(out),
+        ]) == 2
+        assert "theta_adj" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_run_refuses_seed_outside_u64(self, tmp_path, capsys, seed):
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "B", "--rates", "0.1", "--sizes", "60",
+            "--iters", "1", "--seed", seed, "--out", str(out),
+        ]) == 2
+        assert "master seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_accepts_largest_seed(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "B", "--rates", "0.1", "--sizes", "60",
+            "--iters", "1", "--seed", str(2**64 - 1), "--out", str(out),
+        ]) == 0
+        assert len(io.load_results_csv(out)) == 1
+
     def test_run_rejects_repeated_config_id(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert cli.main([
@@ -334,6 +362,16 @@ class TestCli:
         ]) == 0
         cfg = io.load_config(out)
         assert abs(ws.aggregate_iv(cfg).aiv - 5.51) <= 0.05
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_synth_refuses_seed_outside_u64(self, tmp_path, capsys, seed):
+        out = tmp_path / "synth.json"
+        assert cli.main([
+            "synth", "--d", "2", "--bins", "4,4", "--aiv", "5.51",
+            "--seed", seed, "--out", str(out),
+        ]) == 2
+        assert "master seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_unreachable_exits_3(self, tmp_path):
         out = tmp_path / "synth.json"

@@ -28,6 +28,11 @@ class TestStreams:
         b = ws.RngStream(7, 3, "train").generator().random(16)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ValueError, match="master seed"):
+            ws.RngStream(seed, 0, "synth")
+
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError):
             ws.RngStream(1, 0, "bootstrap")

@@ -76,6 +76,13 @@ class TestEstimateWoe:
         with pytest.raises(ws.NoNonevents):
             ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1]), (2,))
 
+    @pytest.mark.parametrize("theta_adj", [math.nan, math.inf, -1.0])
+    def test_bad_theta_adj_rejected(self, theta_adj):
+        # inf used to give NaN estimates and nan a table of NaN
+        sample = build_sample([1, 2, 1, 2], [1, 0, 0, 1])
+        with pytest.raises(ValueError, match="theta_adj must be finite and nonnegative"):
+            ws.estimate_woe(sample, (2,), theta_adj)
+
     def test_bad_weights_rejected(self):
         # one weight rule for every weighted entry point, WoE estimate included
         accepted = []

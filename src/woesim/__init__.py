@@ -15,7 +15,6 @@ from .configs import (
     CONFIG_D,
     ConfigSpec,
     EventRate,
-    IvReport,
     PredictorSpec,
     aggregate_iv,
     aiv_joint,
@@ -26,15 +25,8 @@ from .configs import (
     population_woe,
     synthesize_config,
 )
-from .curve import (
-    DEFAULT_AIV_GRID,
-    CurveFit,
-    GuidelineTable,
-    fit_logistic_curve,
-    guideline_table,
-)
+from .curve import CurveFit, fit_logistic_curve, guideline_table
 from .engine import (
-    DEFAULT_RATES,
     STUDY_SIZES,
     IterationRecord,
     RunSpec,
@@ -45,7 +37,6 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    CurveFitError,
     DegenerateDesign,
     DegeneratePlan,
     EmptyCell,
@@ -58,21 +49,10 @@ from .errors import (
     TargetUnreachable,
     WoesimError,
 )
-from .io import (
-    load_config,
-    load_results_csv,
-    load_summary_csv,
-    resolve_config,
-    save_config,
-    save_guideline_csv,
-    save_results_csv,
-    save_summary_csv,
-)
 from .metrics import (
     METRIC_F1,
     METRIC_P4,
     ConfusionMatrix,
-    CutoffResult,
     confusion,
     default_cutoff_grid,
     f1,
@@ -80,7 +60,7 @@ from .metrics import (
     optimize_cutoff,
     p4,
 )
-from .rng import RngStream, splitmix64, substream_seed
+from .rng import RngStream
 from .sampling import (
     Sample,
     SamplingPlan,
@@ -89,7 +69,6 @@ from .sampling import (
     make_plan,
 )
 from .scorecard import (
-    LINEAR_PREDICTOR_CLAMP,
     FittedModel,
     WoeTable,
     adjusted_woe,

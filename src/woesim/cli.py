@@ -28,12 +28,13 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_RUNTIME = 3
 
-# ConfigError and SchemaError are ValueErrors
+# ConfigError and SchemaError are ValueErrors; OSError covers a path that
+# is missing, is a directory or cannot be written
 _INPUT_ERRORS = (
     DegeneratePlan,
     InsufficientEvents,
     InsufficientPoints,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 
@@ -123,6 +124,10 @@ def _cmd_run(args) -> int:
         clamp=not args.no_clamp,
         fixed_events=args.fixed_events,
     )
+    out = Path(args.out)
+    # refused before the grid runs, not once its records are ready to write
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out {args.out!r} must name a file in an existing directory")
     records = run_grid(spec, workers=args.workers)
     io.save_results_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

@@ -304,10 +304,11 @@ def synthesize_config(
         raise ConfigError(f"expected {d} bin counts, got {len(bins)}")
     if any(b < 2 for b in bins):
         raise ConfigError("every predictor needs at least 2 bins")
-    if not target_aiv > 0.0:
-        raise ConfigError("target_aiv must be positive")
-    if not tol > 0.0:
-        raise ConfigError("tol must be positive")
+    # written so that a NaN, which compares false both ways, fails each test
+    if not 0.0 < target_aiv < math.inf:
+        raise ConfigError(f"target_aiv must be finite and positive, got {target_aiv}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
 
     gen = rng.generator()
     per_target = target_aiv / d

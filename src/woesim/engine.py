@@ -22,7 +22,6 @@ from .errors import DegenerateDesign, EmptyCell, NoEvents, NoNonevents
 from .metrics import (
     METRIC_F1,
     METRIC_P4,
-    check_cutoff_grid,
     confusion,
     default_cutoff_grid,  # noqa: F401 - bench/layers.py traces it under this module
     f1,
@@ -63,7 +62,6 @@ class RunSpec:
     iterations: int = 500
     master_seed: int = 0
     theta_adj: float = 0.5
-    cutoff_grid: tuple[float, ...] | None = None
     clamp: bool = True
     fixed_events: int | None = None
 
@@ -71,9 +69,6 @@ class RunSpec:
         object.__setattr__(self, "configs", tuple(self.configs))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if self.cutoff_grid is not None:
-            grid = check_cutoff_grid(self.cutoff_grid)
-            object.__setattr__(self, "cutoff_grid", tuple(float(c) for c in grid))
         if not self.configs:
             raise ValueError("RunSpec needs at least one config")
         if not self.sizes:
@@ -161,7 +156,6 @@ def run_iteration(
     iteration: int,
     *,
     theta_adj: float = 0.5,
-    cutoff_grid=None,
     aiv: float | None = None,
 ) -> IterationRecord:
     """One full train/validate/test pass at a fixed sampling plan.
@@ -194,8 +188,8 @@ def run_iteration(
 
         val, val_w = compress(val, config.bin_counts)
         probs_val = predict_proba(model, transform(val, table))
-        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, cutoff_grid, val_w)
-        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, cutoff_grid, val_w)
+        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, weights=val_w)
+        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, weights=val_w)
 
         test, test_w = compress(test, config.bin_counts)
         probs_test = predict_proba(model, transform(test, table))
@@ -236,40 +230,29 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
 
 
 def _run_cell(args) -> list[IterationRecord]:
-    config, plan, master_seed, iterations, theta_adj, cutoff_grid, aiv = args
-    # the spec keeps the grid as a tuple; convert it once per cell, not per search
-    if cutoff_grid is not None:
-        cutoff_grid = check_cutoff_grid(cutoff_grid)
+    spec, config, plan, aiv = args
     return [
-        run_iteration(
-            config,
-            plan,
-            master_seed,
-            iteration,
-            theta_adj=theta_adj,
-            cutoff_grid=cutoff_grid,
-            aiv=aiv,
-        )
-        for iteration in range(iterations)
+        run_iteration(config, plan, spec.master_seed, iteration, theta_adj=spec.theta_adj, aiv=aiv)
+        for iteration in range(spec.iterations)
     ]
 
 
 def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     """Execute the whole grid; output order is by cell key, never by schedule.
 
-    ``workers`` > 1 fans the cells out to a process pool.  Results are
-    identical to the serial run because every iteration's randomness is an
-    addressable function of (master_seed, iteration, role).
+    ``workers`` > 1 fans the cells out to a process pool of at most one
+    worker per cell.  Results are identical to the serial run because every
+    iteration's randomness is an addressable function of (master_seed,
+    iteration, role).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = _plans_for(spec)
     aivs = {config.id: aggregate_iv(config).aiv for config in spec.configs}
-    tasks = [
-        (config, plan, spec.master_seed, spec.iterations, spec.theta_adj,
-         spec.cutoff_grid, aivs[config.id])
-        for config, plan in cells
-    ]
+    tasks = [(spec, config, plan, aivs[config.id]) for config, plan in cells]
+    # a process pool may start every worker at its first submit, so never
+    # ask for more workers than there are cells; one cell runs serially
+    workers = min(workers, len(tasks))
     records: list[IterationRecord] = []
     if workers == 1:
         for task in tasks:
@@ -277,7 +260,7 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     else:
         # heaviest cells first, so no large cell starts last and leaves
         # the other workers idle; the stable sort keeps ties in grid order
-        queued = sorted(tasks, key=lambda task: task[1].n, reverse=True)
+        queued = sorted(tasks, key=lambda task: task[2].n, reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_cell, queued):
                 records.extend(chunk)

@@ -51,7 +51,6 @@ class CutoffResult:
 
     theta: float
     score: float
-    metric_id: str
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -202,4 +201,4 @@ def optimize_cutoff(probs, labels, metric_id: str, grid=None, weights=None) -> C
     else:
         raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
     best = int(np.argmax(scores))  # first maximum = smallest cutoff
-    return CutoffResult(theta=float(g[best]), score=float(scores[best]), metric_id=metric_id)
+    return CutoffResult(theta=float(g[best]), score=float(scores[best]))

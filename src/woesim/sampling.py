@@ -98,10 +98,6 @@ class Sample:
         return int(self.Y.sum())
 
 
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 def generate_sample(
     config: ConfigSpec,
     plan: SamplingPlan,
@@ -120,7 +116,7 @@ def generate_sample(
     boundary falls in the bin to the boundary's right.  ``rng`` may be any
     object with a numpy-style ``random(shape)`` method.
     """
-    gen = _as_generator(rng)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n, n1 = plan.n, plan.n1
     # row j of one draw is predictor j's n1 event variates, then its n - n1
     # nonevent variates: the stream order above, in a single call

@@ -231,6 +231,16 @@ class TestSynthesizeConfig:
         with pytest.raises(ws.ConfigError):
             ws.synthesize_config(1, (4,), 1.0, 0.0, stream)
 
+    def test_infinite_target_refused(self):
+        # used to make 200 contrast redraws, then raise TargetUnreachable
+        with pytest.raises(ws.ConfigError, match="target_aiv"):
+            ws.synthesize_config(2, (4, 4), math.inf, 0.05, ws.RngStream(1, 0, "synth"))
+
+    def test_infinite_tol_refused(self):
+        # used to accept any AIV, 0.34 for a target of 1
+        with pytest.raises(ws.ConfigError, match="tol"):
+            ws.synthesize_config(2, (4, 4), 1.0, math.inf, ws.RngStream(1, 0, "synth"))
+
     def test_reproducible(self):
         a = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))
         b = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))

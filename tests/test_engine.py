@@ -72,20 +72,6 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="master seed"):
             small_spec(master_seed=seed)
 
-    def test_cutoff_grid_checked_up_front(self):
-        # used to fail only inside the first iteration
-        with pytest.raises(ValueError, match="inside"):
-            small_spec(cutoff_grid=(0.5, 1.0))
-        spec = small_spec(cutoff_grid=np.array([0.25, 0.5]))
-        assert spec.cutoff_grid == (0.25, 0.5)
-
-    def test_nan_cutoff_grid_refused(self):
-        # used to be kept, and every iteration then picked theta = 0.1
-        with pytest.raises(ValueError, match="strictly increasing"):
-            small_spec(cutoff_grid=(0.1, math.nan, 0.5))
-        with pytest.raises(ValueError, match="inside"):
-            small_spec(cutoff_grid=(math.nan,))
-
 
 class TestRunIteration:
     def test_golden_record_is_stable(self):
@@ -163,27 +149,32 @@ class TestRunGrid:
         spec = small_spec(sizes=(60, 100), rates=(0.05, 0.10), iterations=5)
         assert ws.run_grid(spec, workers=1) == ws.run_grid(spec, workers=3)
 
-    def test_custom_cutoff_grid_converted_once_per_cell(self, monkeypatch):
-        grid = (0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
-        spec = small_spec(cutoff_grid=grid, sizes=(60, 300))
-        # each iteration alone, handed the spec's tuple as the cells once did
-        expected = [
-            ws.run_iteration(config, plan, spec.master_seed, i, cutoff_grid=spec.cutoff_grid)
-            for config, plan in engine._plans_for(spec)
-            for i in range(spec.iterations)
-        ]
-        seen = []
-        search = engine.optimize_cutoff
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        # a pool may start all its workers at the first submit, so --workers 5000
+        # used to start 5000 processes even for a grid of two cells
+        started = []
 
-        def spy(probs, labels, metric_id, grid=None, weights=None):
-            seen.append(grid)
-            return search(probs, labels, metric_id, grid, weights)
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
-        monkeypatch.setattr(engine, "optimize_cutoff", spy)
-        records = ws.run_grid(spec)
-        assert records == expected
-        assert len(seen) == 2 * len(records)
-        assert all(isinstance(g, np.ndarray) and g.tolist() == list(grid) for g in seen)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        spec = small_spec(sizes=(60, 100))
+        assert ws.run_grid(spec, workers=10**6) == ws.run_grid(spec)
+        assert started == [2]
+        started.clear()
+        one_cell = small_spec()
+        assert ws.run_grid(one_cell, workers=3) == ws.run_grid(one_cell)
+        assert started == []
 
     def test_fixed_events_records_effective_rates(self):
         spec = ws.RunSpec(

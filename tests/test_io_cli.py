@@ -379,6 +379,32 @@ class TestCli:
             "synth", "--d", "1", "--bins", "2", "--aiv", "50", "--out", str(out),
         ]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{dir}"],
+        ["summarize", "--in", "{results}", "--out", "{dir}"],
+        ["report", "--in", "{summary}", "--cell", "c0:f1:test", "--out", "{dir}"],
+        ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", "{dir}"],
+        ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", "{dir}/no/r.csv"],
+        ["synth", "--d", "2", "--bins", "4,4", "--aiv", "inf", "--out", "{dir}/s.json"],
+        ["synth", "--d", "2", "--bins", "4,4", "--aiv", "1", "--tol", "inf",
+         "--out", "{dir}/s.json"],
+    ], ids=["validate-dir", "summarize-dir", "report-dir", "run-dir", "run-missing-dir",
+            "synth-inf-aiv", "synth-inf-tol"])
+    def test_unusable_input_exits_2_up_front(self, tmp_path, capsys, monkeypatch, argv):
+        # the directory paths used to end in an IsADirectoryError traceback,
+        # after the whole grid for run; a missing --out directory was only
+        # found after the grid too, and synth took an infinite --aiv or --tol
+        results, summary = tmp_path / "results.csv", tmp_path / "summary.csv"
+        io.save_results_csv(tiny_records(), results)
+        io.save_summary_csv(synthetic_summary_rows()[0], summary)
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        paths = dict(dir=tmp_path, results=results, summary=summary)
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_report_bad_cell_selector_exits_2(self, tmp_path):
         rows, _ = synthetic_summary_rows()
         summary = tmp_path / "summary.csv"

@@ -213,6 +213,8 @@ class TestOptimizeCutoff:
             ws.optimize_cutoff(probs, labels, "f1", [0.4, 0.4])
         with pytest.raises(ValueError):
             ws.optimize_cutoff(probs, labels, "f1", [0.0, 0.5])
+        with pytest.raises(ValueError, match="inside"):
+            ws.optimize_cutoff(probs, labels, "f1", [0.5, 1.0])
         with pytest.raises(ValueError):
             ws.optimize_cutoff(probs, labels, "bogus")
 

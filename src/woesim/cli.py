@@ -216,6 +216,11 @@ def main(argv=None) -> int:
     except WoesimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        # e.g. a sample size whose draw cannot be allocated
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

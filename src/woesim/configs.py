@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +37,77 @@ def bin_cdf(dist) -> np.ndarray:
     cum[-1] = 1.0  # guard the top edge against accumulated rounding
     cum.flags.writeable = False
     return cum
+
+
+#: A ``GuideTable`` row splits [0, 1) into 2**_GUIDE_SHIFT equal buckets.
+_GUIDE_SHIFT = 12
+_GUIDE_BUCKETS = 1 << _GUIDE_SHIFT
+
+
+class GuideTable:
+    """Guide-table ("indexed search") inversion of every class-conditional
+    ``bin_cdf`` of the given predictors (Chen & Asau 1974; Devroye 1986,
+    sec. III.2.4).
+
+    Row j holds predictor j's event cdf and row d + j its nonevent cdf.
+    Each row splits [0, 1) into M = 2**12 equal buckets, and ``bins``
+    holds the 1-based bin of each bucket that no interior cdf edge cuts,
+    0 for a cut one.  A variate u lies in bucket floor(u * M), exact
+    because M is a power of two.  The few variates in cut buckets are
+    resolved by one search of ``edges``, every interior edge e of row r as
+    the complex number r + 1j * e: numpy orders complex numbers by real
+    part first, so a variate's insertion point counts the edges of the
+    rows before its own plus the edges of its row at or below it.
+    ``row_base`` holds each row's first index in ``edges``, minus one.
+    """
+
+    def __init__(self, predictors: Sequence[PredictorSpec]) -> None:
+        cdfs = [bin_cdf(p.p_event) for p in predictors] + [
+            bin_cdf(p.p_nonevent) for p in predictors
+        ]
+        lower = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+        upper = np.arange(1, _GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        # uint8 up to 255 bins: the table stays a few kilobytes per predictor
+        dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs))
+        bins, edges = [], []
+        for row, cdf in enumerate(cdfs):
+            below = cdf.searchsorted(lower, side="right")
+            cut = below != cdf.searchsorted(upper, side="left")
+            bins.append(np.where(cut, 0, below + 1).astype(dtype))
+            key = np.empty(cdf.size - 1, dtype=complex)
+            key.real = row
+            key.imag = cdf[:-1]
+            edges.append(key)
+        # each row's first bucket in ``bins``, as a column per predictor
+        rows = np.arange(len(cdfs))[:, None] * _GUIDE_BUCKETS
+        self.bins = np.concatenate(bins)
+        self.edges = np.concatenate(edges)
+        self.row_base = np.cumsum([0] + [key.size for key in edges[:-1]]) - 1
+        self.event_rows, self.nonevent_rows = np.split(rows, 2)
+        for table in vars(self).values():
+            table.flags.writeable = False
+
+    def invert(self, u: np.ndarray, n1: int) -> np.ndarray:
+        """The (n, d) int64 bins of the (d, n) variates ``u`` in [0, 1):
+        the first n1 of each predictor through its event cdf, the rest
+        through its nonevent cdf.  Bit for bit ``cdf.searchsorted(u,
+        side="right") + 1``, variates on cdf edges included."""
+        # the cast truncates u * M, which is exact, so it is floor(u * M)
+        at = np.multiply(u, _GUIDE_BUCKETS, out=np.empty(u.shape, np.int64), casting="unsafe")
+        at[:, :n1] += self.event_rows
+        at[:, n1:] += self.nonevent_rows
+        bins = self.bins.take(at)
+        cut = np.flatnonzero(bins.reshape(-1) == 0)
+        if cut.size:
+            rows = at.reshape(-1)[cut] >> _GUIDE_SHIFT
+            key = np.empty(cut.size, dtype=complex)
+            key.real = rows
+            key.imag = u.reshape(-1)[cut]
+            bins.reshape(-1)[cut] = self.edges.searchsorted(key, side="right") - self.row_base[rows]
+        # the index buffer, read as (n, d), takes the result
+        X = at.reshape(at.shape[::-1])
+        X[...] = bins.T
+        return X
 
 
 @dataclass(frozen=True)
@@ -115,11 +186,17 @@ class ConfigSpec:
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(p.n_bins for p in self.predictors)
 
-    @cached_property
-    def bin_cdfs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per predictor, the (event, nonevent) ``bin_cdf`` tables the sampler
-        inverts; built on first use and kept with the config."""
-        return tuple((bin_cdf(p.p_event), bin_cdf(p.p_nonevent)) for p in self.predictors)
+    @property
+    def guide_table(self) -> GuideTable:
+        """The ``GuideTable`` the sampler inverts with: built on first use
+        and shared by equal configs within a process, such as the copy a
+        process pool unpickles with each task, so it is never pickled."""
+        return _guide_table(self.predictors)
+
+
+@lru_cache(maxsize=16)
+def _guide_table(predictors: tuple[PredictorSpec, ...]) -> GuideTable:
+    return GuideTable(predictors)
 
 
 @dataclass(frozen=True)

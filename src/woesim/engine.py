@@ -19,16 +19,11 @@ import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
 from .errors import DegenerateDesign, EmptyCell, NoEvents, NoNonevents
-from .metrics import (
-    METRIC_F1,
-    METRIC_P4,
-    confusion,
-    default_cutoff_grid,  # noqa: F401 - bench/layers.py traces it under this module
-    f1,
-    gini,
-    optimize_cutoff,
-    p4,
-)
+from .metrics import METRIC_F1, METRIC_P4, confusions, f1, gini, optimize_cutoffs, p4
+
+# bench/layers.py traces these under this module, so they stay importable
+# here though each split is counted through the batched forms above
+from .metrics import confusion, default_cutoff_grid, optimize_cutoff  # noqa: F401
 from .rng import RngStream, check_master_seed
 from .sampling import SamplingPlan, compress, generate_sample, make_plan
 from .scorecard import check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform
@@ -161,11 +156,11 @@ def run_iteration(
     """One full train/validate/test pass at a fixed sampling plan.
 
     The training split alone fixes the WoE table and the coefficients; the
-    validation split alone picks the F1 and P4 cutoffs; the test split is
-    only ever scored, once per metric at its own cutoff and once
-    threshold-free for concordance.  Every split is handled as weighted
-    joint cells (see ``compress``), from the WoE estimate on, which leaves
-    every count the estimators see unchanged.
+    validation split alone picks the F1 and P4 cutoffs, from one count of
+    its scores; the test split is only ever scored, counted once at both
+    cutoffs and ranked once threshold-free for concordance.  Every split
+    is handled as weighted joint cells (see ``compress``), from the WoE
+    estimate on, which leaves every count the estimators see unchanged.
     """
     if aiv is None:
         aiv = aggregate_iv(config).aiv
@@ -188,19 +183,19 @@ def run_iteration(
 
         val, val_w = compress(val, config.bin_counts)
         probs_val = predict_proba(model, transform(val, table))
-        cut_f1 = optimize_cutoff(probs_val, val.Y, METRIC_F1, weights=val_w)
-        cut_p4 = optimize_cutoff(probs_val, val.Y, METRIC_P4, weights=val_w)
+        cut_f1, cut_p4 = optimize_cutoffs(probs_val, val.Y, (METRIC_F1, METRIC_P4), weights=val_w)
 
         test, test_w = compress(test, config.bin_counts)
         probs_test = predict_proba(model, transform(test, table))
+        cm_f1, cm_p4 = confusions(probs_test, test.Y, (cut_f1.theta, cut_p4.theta), test_w)
         return IterationRecord(
             converged=model.converged,
             theta_f1=cut_f1.theta,
             theta_p4=cut_p4.theta,
             f1_val=cut_f1.score,
-            f1_test=f1(confusion(probs_test, test.Y, cut_f1.theta, test_w)),
+            f1_test=f1(cm_f1),
             p4_val=cut_p4.score,
-            p4_test=p4(confusion(probs_test, test.Y, cut_p4.theta, test_w)),
+            p4_test=p4(cm_p4),
             gini_val=gini(probs_val, val.Y, val_w),
             gini_test=gini(probs_test, test.Y, test_w),
             **base,

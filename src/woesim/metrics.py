@@ -139,10 +139,28 @@ def _p4_on_counts(tp, fp, fn, tn) -> np.ndarray:
     return out
 
 
+#: Each metric's score per cutoff, from the (tp, fp, fn, tn) count vectors.
+_SCORES_ON_COUNTS = {
+    METRIC_F1: lambda tp, fp, fn, tn: _f1_on_counts(tp, fp, fn),
+    METRIC_P4: _p4_on_counts,
+}
+
+
+def confusions(probs, labels, thetas, weights=None) -> tuple[ConfusionMatrix, ...]:
+    """The confusion matrix at each cutoff (positive when prob >= theta),
+    in the order given, from one count over the sorted cutoffs; equal
+    cutoffs share a value, as the count gives a repeat an empty slot."""
+    theta = np.asarray(thetas, dtype=float)
+    order = theta.argsort()
+    tp, fp, fn, tn = (c.tolist() for c in _counts_at(probs, labels, weights, theta[order]))
+    return tuple(
+        ConfusionMatrix(tp=tp[k], fp=fp[k], fn=fn[k], tn=tn[k]) for k in order.argsort().tolist()
+    )
+
+
 def confusion(probs, labels, theta: float, weights=None) -> ConfusionMatrix:
     """Tally the confusion matrix at one cutoff (positive when prob >= theta)."""
-    tp, fp, fn, tn = _counts_at(probs, labels, weights, np.asarray([theta], dtype=float))
-    return ConfusionMatrix(tp=int(tp[0]), fp=int(fp[0]), fn=int(fn[0]), tn=int(tn[0]))
+    return confusions(probs, labels, (theta,), weights)[0]
 
 
 def f1(cm: ConfusionMatrix) -> float:
@@ -187,18 +205,28 @@ def gini(probs, labels, weights=None) -> float:
     return (concordant - discordant) / (n1 * n0)
 
 
+def optimize_cutoffs(probs, labels, metric_ids, grid=None, weights=None) -> tuple[CutoffResult, ...]:
+    """Grid-search the cutoff maximizing each of ``metric_ids`` (F1 or P4,
+    in the order given) from one count over the grid.
+
+    Ties resolve deterministically to the smallest maximizing grid point.
+    """
+    for metric_id in metric_ids:
+        if metric_id not in _SCORES_ON_COUNTS:
+            raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
+    g = default_cutoff_grid() if grid is None else check_cutoff_grid(grid)
+    counts = _counts_at(probs, labels, weights, g)
+    results = []
+    for metric_id in metric_ids:
+        scores = _SCORES_ON_COUNTS[metric_id](*counts)
+        best = int(np.argmax(scores))  # first maximum = smallest cutoff
+        results.append(CutoffResult(theta=float(g[best]), score=float(scores[best])))
+    return tuple(results)
+
+
 def optimize_cutoff(probs, labels, metric_id: str, grid=None, weights=None) -> CutoffResult:
     """Grid-search the cutoff maximizing F1 or P4 on the given scores.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
-    g = default_cutoff_grid() if grid is None else check_cutoff_grid(grid)
-    tp, fp, fn, tn = _counts_at(probs, labels, weights, g)
-    if metric_id == METRIC_F1:
-        scores = _f1_on_counts(tp, fp, fn)
-    elif metric_id == METRIC_P4:
-        scores = _p4_on_counts(tp, fp, fn, tn)
-    else:
-        raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
-    best = int(np.argmax(scores))  # first maximum = smallest cutoff
-    return CutoffResult(theta=float(g[best]), score=float(scores[best]))
+    return optimize_cutoffs(probs, labels, (metric_id,), grid, weights)[0]

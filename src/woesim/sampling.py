@@ -113,19 +113,23 @@ def generate_sample(
     Each variate u in [0, 1) becomes a 1-based bin index by inverting the
     class's cumulative bin probabilities: the bins partition [0, 1) into
     right-open intervals in bin order, so a variate equal to an interior
-    boundary falls in the bin to the boundary's right.  ``rng`` may be any
-    object with a numpy-style ``random(shape)`` method.
+    boundary falls in the bin to the boundary's right.  The config's
+    ``guide_table`` inverts the whole draw in one lookup.  ``rng`` may be
+    any object with a numpy-style ``random(shape)`` method; variates from
+    anything but a numpy ``Generator`` are checked, and one outside
+    [0, 1), NaN included, raises ``ValueError``.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n, n1 = plan.n, plan.n1
     # row j of one draw is predictor j's n1 event variates, then its n - n1
     # nonevent variates: the stream order above, in a single call
     u = gen.random((config.n_predictors, n))
-    X = np.empty((n, config.n_predictors), dtype=np.int64)
-    for j, (cum_event, cum_nonevent) in enumerate(config.bin_cdfs):
-        X[:n1, j] = cum_event.searchsorted(u[j, :n1], side="right")
-        X[n1:, j] = cum_nonevent.searchsorted(u[j, n1:], side="right")
-    X += 1
+    if not isinstance(gen, np.random.Generator):
+        u = np.asarray(u, dtype=float)
+        # written so that a NaN, which compares false both ways, fails
+        if not (u.min() >= 0.0 and u.max() < 1.0):
+            raise ValueError("every variate must lie in [0, 1)")
+    X = config.guide_table.invert(u, n1)
     Y = np.zeros(n, dtype=bool)  # 0/1 by type, so ``Sample`` need not scan it
     Y[:n1] = True
     return Sample(X=X, Y=Y)

@@ -405,6 +405,21 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_out_of_memory_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # a size like 10**11 used to end in numpy's _ArrayMemoryError traceback
+        def run_grid(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "r.csv"
+        assert cli.main([
+            "run", "--config", "A", "--sizes", "100000000000", "--rates", "0.1",
+            "--iters", "1", "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
+        assert not out.exists()
+
     def test_report_bad_cell_selector_exits_2(self, tmp_path):
         rows, _ = synthetic_summary_rows()
         summary = tmp_path / "summary.csv"

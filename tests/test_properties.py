@@ -10,12 +10,17 @@ summary CSVs round-trip any record, the config synthesiser either hits
 its target or says it cannot, the sampler consumes its stream in the
 documented order, the grid's records do not depend on the schedule, and
 each summary quantile is the one ``np.quantile`` gives on its field alone.
+The sampler's guide-table lookup gives the bins a per-(predictor, class)
+``searchsorted`` gives, on cdf and bucket edges too, and the batched
+cutoff search and confusion count give what one call per metric or
+cutoff gives.
 """
 
 import dataclasses
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +29,8 @@ from hypothesis import strategies as st
 
 import woesim as ws
 from woesim import engine, io, scorecard
-from woesim.configs import bin_cdf
+from woesim.configs import _GUIDE_BUCKETS, PROB_FLOOR, GuideTable, bin_cdf
+from woesim.metrics import confusions, optimize_cutoffs
 
 GRID = ws.default_cutoff_grid()
 
@@ -80,6 +86,41 @@ def test_weighted_confusion_equals_masked_weight_sums(data, theta):
                 (pos & events, pos & ~events, ~pos & events, ~pos & ~events)]
     cm = ws.confusion(probs, labels, theta, weights)
     assert [cm.tp, cm.fp, cm.fn, cm.tn] == expected
+
+
+@st.composite
+def scores_with_nans(draw):
+    """``weighted_scores``, some scores NaN, the weights sometimes left out."""
+    probs, labels, weights = draw(weighted_scores())
+    nans = draw(st.lists(st.booleans(), min_size=probs.size, max_size=probs.size))
+    probs[np.asarray(nans)] = np.nan
+    return probs, labels, weights if draw(st.booleans()) else None
+
+
+@st.composite
+def cutoff_lists(draw):
+    """1-5 cutoffs, grid points or any in [0, 1], some repeated, some descending."""
+    thetas = draw(st.lists(st.sampled_from(GRID) | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    thetas += draw(st.lists(st.sampled_from(thetas), max_size=2))
+    if draw(st.booleans()):
+        thetas.sort(reverse=True)
+    return thetas
+
+
+@given(scores_with_nans(), st.lists(st.sampled_from([ws.METRIC_F1, ws.METRIC_P4]), min_size=1, max_size=3))
+def test_optimize_cutoffs_equals_one_search_per_metric(data, metric_ids):
+    probs, labels, weights = data
+    assert optimize_cutoffs(probs, labels, metric_ids, weights=weights) == tuple(
+        ws.optimize_cutoff(probs, labels, metric, weights=weights) for metric in metric_ids
+    )
+
+
+@given(scores_with_nans(), cutoff_lists())
+def test_confusions_equals_one_count_per_cutoff(data, thetas):
+    probs, labels, weights = data
+    assert confusions(probs, labels, thetas, weights) == tuple(
+        ws.confusion(probs, labels, theta, weights) for theta in thetas
+    )
 
 
 @st.composite
@@ -314,6 +355,75 @@ def test_generate_sample_follows_documented_stream_layout(data):
     assert sample.Y.tolist() == [1] * plan.n1 + [0] * (plan.n - plan.n1)
     # the sample consumed exactly d * n variates: both streams continue alike
     assert gen.random() == expected_gen.random()
+
+
+@st.composite
+def bin_dist(draw, n_bins):
+    """n_bins probabilities, each PROB_FLOOR to a few times it or ordinary,
+    summing to 1."""
+    tiny = st.sampled_from([PROB_FLOOR, 2 * PROB_FLOOR, 3 * PROB_FLOOR])
+    raw = draw(st.lists(tiny | st.floats(0.01, 1.0), min_size=n_bins, max_size=n_bins))
+    raw[draw(st.integers(0, n_bins - 1))] = 0.5  # room for the tiny bins
+    big = [p for p in raw if p >= 0.01]
+    rest = 1.0 - math.fsum(p for p in raw if p < 0.01)
+    return tuple(p if p < 0.01 else p / math.fsum(big) * rest for p in raw)
+
+
+@st.composite
+def guide_inputs(draw, min_bins=1):
+    """1-4 predictors of min_bins-8 bins, and (d, n) variates that hit cdf
+    edges, the doubles just below them, the bucket edges k/M, the inside
+    of the buckets edges cut, and anywhere else in [0, 1)."""
+    predictors = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_bins = draw(st.integers(min_bins, 8))
+        predictors.append(SimpleNamespace(p_event=draw(bin_dist(n_bins)), p_nonevent=draw(bin_dist(n_bins))))
+    edges = sorted({
+        float(e) for p in predictors for dist in (p.p_event, p.p_nonevent) for e in bin_cdf(dist)[:-1]
+    }) or [0.5]
+    M = _GUIDE_BUCKETS
+    below_one = float(np.nextafter(1.0, 0.0))
+    variate = st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from(edges).map(lambda e: float(np.nextafter(e, 0.0))),
+        st.integers(0, M - 1).map(lambda k: k / M),
+        st.tuples(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True)).map(
+            lambda t: min((math.floor(t[0] * M) + t[1]) / M, below_one)
+        ),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.just(below_one),
+    )
+    n = draw(st.integers(2, 40))
+    n1 = draw(st.integers(1, n - 1))
+    u = np.asarray(draw(st.lists(variate, min_size=len(predictors) * n, max_size=len(predictors) * n)))
+    return predictors, u.reshape(len(predictors), n), n1
+
+
+def reference_bins(predictors, u, n1):
+    """The reference inversion: one ``searchsorted`` per (predictor, class)."""
+    X = np.empty(u.shape[::-1], dtype=np.int64)
+    for j, p in enumerate(predictors):
+        X[:n1, j] = np.searchsorted(bin_cdf(p.p_event), u[j, :n1], side="right") + 1
+        X[n1:, j] = np.searchsorted(bin_cdf(p.p_nonevent), u[j, n1:], side="right") + 1
+    return X
+
+
+@settings(max_examples=300)
+@given(guide_inputs())
+def test_guide_table_equals_searchsorted_per_predictor_and_class(data):
+    predictors, u, n1 = data
+    assert np.array_equal(GuideTable(predictors).invert(u, n1), reference_bins(predictors, u, n1))
+
+
+@given(guide_inputs(min_bins=2))
+def test_generate_sample_inverts_any_variates_as_searchsorted(data):
+    predictors, u, n1 = data
+    config = ws.ConfigSpec("P", tuple(
+        ws.PredictorSpec(f"X{j + 1}", p.p_event, p.p_nonevent) for j, p in enumerate(predictors)
+    ))
+    plan = ws.SamplingPlan(n=u.shape[1], n1=n1, pi1=n1 / u.shape[1])
+    gen = SimpleNamespace(random=lambda shape: u.reshape(shape))
+    assert np.array_equal(ws.generate_sample(config, plan, gen).X, reference_bins(predictors, u, n1))
 
 
 @settings(max_examples=5)

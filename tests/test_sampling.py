@@ -1,5 +1,7 @@
 """Stream derivation, sampling plans, and exact-count sample generation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,25 @@ class TestInvertCdf:
         config = one_predictor((0.2, 0.3, 0.5), (0.25, 0.25, 0.5))
         sample = ws.generate_sample(config, plan, gen)
         assert sample.X[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("bad", [1.0, np.nan, -0.5, np.inf])
+    def test_variates_outside_unit_interval_refused(self, bad):
+        # 1.0 and NaN used to become bin 3 of a 2-bin predictor, -0.5 bin 1
+        plan = ws.SamplingPlan(n=3, n1=1, pi1=1 / 3)
+        gen = ExactVariates([0.2, bad, 0.7])
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            ws.generate_sample(one_predictor((0.5, 0.5)), plan, gen)
+
+
+class TestGuideTable:
+    def test_table_is_compact_and_stays_out_of_pickles(self):
+        config = one_predictor((0.5, 0.25, 0.25), (0.1, 0.2, 0.7))
+        before = pickle.dumps(config)
+        table = config.guide_table
+        assert table.bins.dtype == np.uint8 and table.bins.size == 2 * 4096
+        assert pickle.dumps(config) == before
+        # a process pool's copy of the config finds the same table again
+        assert pickle.loads(before).guide_table is table
 
 
 class TestDrawCategorical:

@@ -19,7 +19,6 @@ from .configs import (
     aggregate_iv,
     aiv_joint,
     bayes_posterior,
-    get_config,
     information_value,
     iv_between,
     population_woe,

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import io
 from .configs import aggregate_iv, synthesize_config
 from .charts import emit_chart
-from .curve import DEFAULT_AIV_GRID, fit_logistic_curve, guideline_table
+from .curve import fit_logistic_curve, guideline_table
 from .engine import DEFAULT_RATES, STUDY_SIZES, RunSpec, run_grid, summarize
 from .errors import (
     DegeneratePlan,
@@ -162,7 +162,7 @@ def _cmd_guideline(args) -> int:
             file=sys.stderr,
         )
         fits[rate] = fit
-    table = guideline_table(fits, aiv_grid=DEFAULT_AIV_GRID)
+    table = guideline_table(fits)
     io.save_guideline_csv(table, args.out)
     print(table.render())
     print(f"wrote guideline table to {args.out}")

@@ -486,12 +486,3 @@ CONFIG_D = _builtin(
 )
 
 BUILTIN_CONFIGS = {c.id: c for c in (CONFIG_A, CONFIG_B, CONFIG_C, CONFIG_D)}
-
-
-def get_config(config_id: str) -> ConfigSpec:
-    """Look up one of the compiled-in configurations by id."""
-    try:
-        return BUILTIN_CONFIGS[config_id]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_CONFIGS))
-        raise ConfigError(f"unknown config id {config_id!r} (built-ins: {known})") from None

@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CurveFitError, InsufficientPoints
-from .scorecard import _newton_step, _solve as _stacked_solve
+from .scorecard import _newton_step
 
-#: Default tabulation grid for guideline tables: 0.5, 1.0, ..., 7.0.
+#: Tabulation grid of every guideline table: 0.5, 1.0, ..., 7.0.
 DEFAULT_AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 
 _L_STARTS = (0.5, 0.75, 1.0)
@@ -78,17 +78,6 @@ def _jacobian(theta: np.ndarray, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return J
 
 
-def _solve(M: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve each M[i] @ step[i] = g[i]; least squares only where M[i] is singular.
-
-    One call of the fit's LAPACK solve broadcasts over the whole stack.
-    """
-    try:
-        return _stacked_solve(M, g)
-    except np.linalg.LinAlgError:
-        return np.stack([_newton_step(m, v) for m, v in zip(M, g)])
-
-
 # A steep candidate saturates the sigmoid: exp overflows to inf and the
 # curve value goes to 0 as intended, so the overflow is not reported.
 @np.errstate(over="ignore")
@@ -119,7 +108,7 @@ def _damped_gauss_newton(
         pending = running.copy()
         keep = np.zeros(len(theta), dtype=bool)
         for _ in range(40):
-            cand = _project(theta + _solve(A + damping[:, None, None] * eye, g))
+            cand = _project(theta + _newton_step(A + damping[:, None, None] * eye, g))
             cand_s = _sigmoid(cand, a)
             cand_r = y - cand[:, 0:1] * cand_s
             new_rss = _sum_squares(cand_r)
@@ -181,11 +170,6 @@ class GuidelineTable:
     aiv_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
 
-    def value(self, rate: float, aiv: float) -> float:
-        i = self.rates.index(rate)
-        j = self.aiv_grid.index(aiv)
-        return self.values[i][j]
-
     def rows(self):
         """Flat (rate, strength, prediction) rows in table order."""
         for rate, row in zip(self.rates, self.values):
@@ -202,18 +186,10 @@ class GuidelineTable:
         return "\n".join(lines)
 
 
-def guideline_table(
-    fits: Mapping[float, CurveFit],
-    aiv_grid: Sequence[float] = DEFAULT_AIV_GRID,
-    rates: Sequence[float] | None = None,
-) -> GuidelineTable:
-    """Tabulate each rate's fitted curve over the strength grid."""
-    chosen = tuple(sorted(fits)) if rates is None else tuple(float(r) for r in rates)
-    missing = [r for r in chosen if r not in fits]
-    if missing:
-        raise ValueError(f"no curve fit supplied for rate(s) {missing}")
-    grid = tuple(float(a) for a in aiv_grid)
+def guideline_table(fits: Mapping[float, CurveFit]) -> GuidelineTable:
+    """Tabulate every rate's fitted curve, rates ascending, over ``DEFAULT_AIV_GRID``."""
+    rates = tuple(sorted(fits))
     values = tuple(
-        tuple(float(fits[r].predict(a)) for a in grid) for r in chosen
+        tuple(float(fits[r].predict(a)) for a in DEFAULT_AIV_GRID) for r in rates
     )
-    return GuidelineTable(rates=chosen, aiv_grid=grid, values=values)
+    return GuidelineTable(rates=rates, aiv_grid=DEFAULT_AIV_GRID, values=values)

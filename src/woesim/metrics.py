@@ -40,10 +40,6 @@ class ConfusionMatrix:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class CutoffResult:
@@ -81,19 +77,6 @@ def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValueError("need at least one observation")
     _check_labels(y)
     return p, y, _check_weights(weights, p.size)
-
-
-def check_cutoff_grid(grid) -> np.ndarray:
-    """The grid as a float vector; refuses empty, unsorted or out-of-(0, 1) grids."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("cutoff grid must be a nonempty vector")
-    # written so that a NaN, which compares false both ways, fails each test
-    if not (g[1:] > g[:-1]).all():
-        raise ValueError("cutoff grid must be strictly increasing")
-    if not (0.0 < g[0] and g[-1] < 1.0):
-        raise ValueError("cutoff grid must lie strictly inside (0, 1)")
-    return g
 
 
 def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -149,8 +132,11 @@ _SCORES_ON_COUNTS = {
 def confusions(probs, labels, thetas, weights=None) -> tuple[ConfusionMatrix, ...]:
     """The confusion matrix at each cutoff (positive when prob >= theta),
     in the order given, from one count over the sorted cutoffs; equal
-    cutoffs share a value, as the count gives a repeat an empty slot."""
+    cutoffs share a value, as the count gives a repeat an empty slot.  A NaN
+    cutoff is refused: no score is at or above it, nor below it."""
     theta = np.asarray(thetas, dtype=float)
+    if np.isnan(theta).any():
+        raise ValueError("cutoffs must not be NaN")
     order = theta.argsort()
     tp, fp, fn, tn = (c.tolist() for c in _counts_at(probs, labels, weights, theta[order]))
     return tuple(
@@ -205,16 +191,16 @@ def gini(probs, labels, weights=None) -> float:
     return (concordant - discordant) / (n1 * n0)
 
 
-def optimize_cutoffs(probs, labels, metric_ids, grid=None, weights=None) -> tuple[CutoffResult, ...]:
-    """Grid-search the cutoff maximizing each of ``metric_ids`` (F1 or P4,
-    in the order given) from one count over the grid.
+def optimize_cutoffs(probs, labels, metric_ids, *, weights=None) -> tuple[CutoffResult, ...]:
+    """Search ``default_cutoff_grid()`` for the cutoff maximizing each of
+    ``metric_ids`` (F1 or P4, in the order given) from one count over the grid.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
     for metric_id in metric_ids:
         if metric_id not in _SCORES_ON_COUNTS:
             raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
-    g = default_cutoff_grid() if grid is None else check_cutoff_grid(grid)
+    g = default_cutoff_grid()
     counts = _counts_at(probs, labels, weights, g)
     results = []
     for metric_id in metric_ids:
@@ -224,9 +210,9 @@ def optimize_cutoffs(probs, labels, metric_ids, grid=None, weights=None) -> tupl
     return tuple(results)
 
 
-def optimize_cutoff(probs, labels, metric_id: str, grid=None, weights=None) -> CutoffResult:
-    """Grid-search the cutoff maximizing F1 or P4 on the given scores.
+def optimize_cutoff(probs, labels, metric_id: str, *, weights=None) -> CutoffResult:
+    """Search ``default_cutoff_grid()`` for the cutoff maximizing F1 or P4.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
-    return optimize_cutoffs(probs, labels, (metric_id,), grid, weights)[0]
+    return optimize_cutoffs(probs, labels, (metric_id,), weights=weights)[0]

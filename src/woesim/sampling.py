@@ -93,10 +93,6 @@ class Sample:
     def d(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def n_events(self) -> int:
-        return int(self.Y.sum())
-
 
 def generate_sample(
     config: ConfigSpec,

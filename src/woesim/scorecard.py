@@ -201,13 +201,16 @@ _solve = np.errstate(
 
 
 def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve ``hessian @ step = grad`` as ``numpy.linalg.solve`` does; a singular
-    ``hessian`` (e.g. from constant feature columns) gives the minimum-norm
-    least-squares step instead."""
+    """Solve ``hessian @ step = grad`` as ``numpy.linalg.solve`` does, for one
+    system or, in one call, for a stack of them.  A singular system (e.g. from
+    constant feature columns) gives the minimum-norm least-squares step
+    instead; the other systems of its stack keep the solve's bytes."""
     try:
         return _solve(hessian, grad)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        if hessian.ndim == 2:
+            return np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        return np.stack([_newton_step(m, v) for m, v in zip(hessian, grad)])
 
 
 def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
@@ -285,13 +288,11 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     )
 
 
-def predict_proba(model: FittedModel, features) -> float | np.ndarray:
-    """Event probability from the clamped linear predictor; always in (0, 1).
-
-    Accepts a single feature row or an (n, d) matrix.
-    """
+def predict_proba(model: FittedModel, features) -> np.ndarray:
+    """Event probability of each row of an (n, d) feature matrix, from the
+    clamped linear predictor; always in (0, 1)."""
     arr = np.asarray(features, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"features must be an (n, d) matrix, got shape {arr.shape}")
     beta = np.asarray(model.beta)
-    # a single row gives a numpy scalar, which has no buffer to write into
-    p = _clamped_probs(np.atleast_1d(beta[0] + arr @ beta[1:]))
-    return float(p[0]) if arr.ndim == 1 else p
+    return _clamped_probs(beta[0] + arr @ beta[1:])

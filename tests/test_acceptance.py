@@ -74,7 +74,7 @@ def median_of(summary, metric, split, rate=None, n=None):
 def test_criterion_01_table_2_reconstruction():
     ok = True
     for cid, (ivs, aiv) in REFERENCE_IVS.items():
-        report = ws.aggregate_iv(ws.get_config(cid))
+        report = ws.aggregate_iv(ws.BUILTIN_CONFIGS[cid])
         ok &= all(
             abs(got - want) <= 5e-4 for got, want in zip(report.ivs, ivs)
         )
@@ -85,7 +85,7 @@ def test_criterion_01_table_2_reconstruction():
 def test_criterion_02_log_odds_identity():
     worst = 0.0
     for cid in "ABCD":
-        config = ws.get_config(cid)
+        config = ws.BUILTIN_CONFIGS[cid]
         ranges = [range(1, p.n_bins + 1) for p in config.predictors]
         for pi1 in (0.01, 0.05, 0.10):
             rate = ws.EventRate(pi1)
@@ -101,7 +101,7 @@ def test_criterion_02_log_odds_identity():
 
 def test_criterion_03_joint_enumeration_matches_sum():
     worst = max(
-        abs(ws.aiv_joint(ws.get_config(cid)) - ws.aggregate_iv(ws.get_config(cid)).aiv)
+        abs(ws.aiv_joint(ws.BUILTIN_CONFIGS[cid]) - ws.aggregate_iv(ws.BUILTIN_CONFIGS[cid]).aiv)
         for cid in "ABCD"
     )
     verdict(3, f"joint-enumeration AIV equals sum of IVs within 1e-9 (worst {worst:.2e})", worst < 1e-9)
@@ -237,7 +237,7 @@ def test_criterion_12_determinism(tmp_path):
     doc = json.loads(GOLDEN_PATH.read_text())
     plan = ws.make_plan(doc["n"], ws.EventRate(doc["rate"]))
     record = ws.run_iteration(
-        ws.get_config(doc["config_id"]), plan, doc["master_seed"], doc["iteration"]
+        ws.BUILTIN_CONFIGS[doc["config_id"]], plan, doc["master_seed"], doc["iteration"]
     )
     golden_ok = all(
         getattr(record, key) == expected for key, expected in doc["record"].items()

@@ -245,9 +245,3 @@ class TestSynthesizeConfig:
         a = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))
         b = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))
         assert a == b
-
-
-def test_get_config_known_and_unknown():
-    assert ws.get_config("B") is ws.CONFIG_B
-    with pytest.raises(ws.ConfigError, match="unknown config id"):
-        ws.get_config("Z")

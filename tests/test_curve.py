@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import woesim as ws
 from woesim import curve
+from woesim.scorecard import _newton_step
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 
@@ -152,7 +153,7 @@ class TestLockStepStarts:
     def test_batch_mixing_first_try_and_retries_matches_each_start_alone(self, monkeypatch):
         # per outer iteration: the running start count, then the stack size of each try
         tries = []
-        jacobian, solve = curve._jacobian, curve._solve
+        jacobian, solve = curve._jacobian, curve._newton_step
 
         def counting_jacobian(theta, s, a):
             tries.append([len(theta)])
@@ -163,7 +164,7 @@ class TestLockStepStarts:
             return solve(M, g)
 
         monkeypatch.setattr(curve, "_jacobian", counting_jacobian)
-        monkeypatch.setattr(curve, "_solve", counting_solve)
+        monkeypatch.setattr(curve, "_newton_step", counting_solve)
         a = np.asarray([p[0] for p in NOISY_POINTS])
         y = np.asarray([p[1] for p in NOISY_POINTS])
         starts = curve._lattice_starts(a)
@@ -212,7 +213,7 @@ class TestLockStepStarts:
     def test_singular_matrix_alone_falls_back_to_least_squares(self):
         M = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 4.0, 8.0])])
         g = np.array([[2.0, 4.0, 6.0], [1.0, 1.0, 1.0], [1.0, 4.0, 8.0]])
-        steps = curve._solve(M, g)
+        steps = _newton_step(M, g)
         assert same(steps[0], np.linalg.solve(M[0], g[0]))
         assert same(steps[1], np.linalg.lstsq(M[1], g[1], rcond=None)[0])
         assert same(steps[2], np.linalg.solve(M[2], g[2]))
@@ -223,7 +224,7 @@ class TestLockStepStarts:
         M = gen.normal(size=(6, 3, 3))
         M[3] = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])
         g = gen.normal(size=(6, 3))
-        steps = curve._solve(M, g)
+        steps = _newton_step(M, g)
         for i in range(6):
             expected = np.linalg.lstsq(M[i], g[i], rcond=None)[0] if i == 3 else np.linalg.solve(M[i], g[i])
             assert same(steps[i], expected)
@@ -240,9 +241,9 @@ def fits():
 
 class TestGuidelineTable:
     def test_reference_anchor_values(self, fits):
-        table = ws.guideline_table(fits)
-        assert table.value(0.01, 2.5) == pytest.approx(0.13, abs=0.01)
-        assert table.value(0.10, 7.0) == pytest.approx(0.84, abs=0.01)
+        cells = {(rate, aiv): value for rate, aiv, value in ws.guideline_table(fits).rows()}
+        assert cells[0.01, 2.5] == pytest.approx(0.13, abs=0.01)
+        assert cells[0.10, 7.0] == pytest.approx(0.84, abs=0.01)
 
     def test_monotone_in_strength(self, fits):
         table = ws.guideline_table(fits)
@@ -264,9 +265,11 @@ class TestGuidelineTable:
         assert all(math.isfinite(v) for v in row)
         assert row[:5] == (0.0,) * 5
 
-    def test_missing_rate_rejected(self, fits):
-        with pytest.raises(ValueError, match="no curve fit"):
-            ws.guideline_table(fits, rates=(0.01, 0.2))
+    def test_every_rate_ascending_over_the_fixed_grid(self, fits):
+        table = ws.guideline_table({rate: fits[rate] for rate in (0.10, 0.01, 0.05)})
+        assert table.rates == (0.01, 0.05, 0.10)
+        assert table.aiv_grid == curve.DEFAULT_AIV_GRID
+        assert table == ws.guideline_table(fits)
 
     def test_render_rounds_to_two_decimals(self, fits):
         text = ws.guideline_table(fits).render()

@@ -78,7 +78,7 @@ class TestRunIteration:
         doc = json.loads(GOLDEN_PATH.read_text())
         plan = ws.make_plan(doc["n"], ws.EventRate(doc["rate"]))
         record = ws.run_iteration(
-            ws.get_config(doc["config_id"]), plan, doc["master_seed"], doc["iteration"]
+            ws.BUILTIN_CONFIGS[doc["config_id"]], plan, doc["master_seed"], doc["iteration"]
         )
         for key, expected in doc["record"].items():
             assert getattr(record, key) == expected, key

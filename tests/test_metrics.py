@@ -26,7 +26,6 @@ class TestConfusion:
     def test_hand_tally(self):
         cm = ws.confusion((0.9, 0.2, 0.8), (1, 0, 0), 0.5)
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 0, 1)
-        assert cm.total == 3
 
     def test_threshold_above_everything(self):
         cm = ws.confusion((0.2, 0.3, 0.1), (1, 0, 0), 0.9)
@@ -46,6 +45,14 @@ class TestConfusion:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ws.ConfusionMatrix(tp=-1, fp=0, fn=0, tn=0)
+
+    def test_nan_cutoff_refused(self):
+        # no score is at or above a NaN cutoff, so every row used to count as
+        # negative: confusion((0.2, 0.9), (0, 1), nan) gave tp=0 fp=0 fn=1 tn=1
+        with pytest.raises(ValueError, match="NaN"):
+            ws.confusion((0.2, 0.9), (0, 1), np.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            ws.metrics.confusions((0.2, 0.9), (0, 1), (0.5, np.nan))
 
 
 class TestF1:
@@ -192,42 +199,34 @@ class TestOptimizeCutoff:
     @pytest.mark.parametrize("metric", ["f1", "p4"])
     def test_matches_exhaustive_grid_evaluation(self, metric):
         gen = np.random.default_rng(6)
-        grid = ws.default_cutoff_grid()[::37]  # thin the grid to keep the loop fast
+        grid = ws.default_cutoff_grid()
+        scorer = ws.f1 if metric == "f1" else ws.p4
         for _ in range(25):
             n = int(gen.integers(2, 200))
             labels = (gen.random(n) < 0.3).astype(int)
             labels[0], labels[1] = 1, 0
             probs = np.round(gen.random(n), 2)
-            result = ws.optimize_cutoff(probs, labels, metric, grid)
-            scorer = ws.f1 if metric == "f1" else ws.p4
-            scores = [scorer(ws.confusion(probs, labels, t)) for t in grid]
-            best = int(np.argmax(scores))
-            assert result.score == max(scores)
+            result = ws.optimize_cutoff(probs, labels, metric)
+            scores = [scorer(cm) for cm in ws.metrics.confusions(probs, labels, grid)]
+            best = 0
+            for k, score in enumerate(scores):
+                if score > scores[best]:  # strictly larger: the first maximum stays
+                    best = k
+            assert result.score == scores[best]
             assert result.theta == grid[best]
 
     def test_grid_validation(self):
+        # the search always runs on the fixed grid: a grid passed where it
+        # used to go is refused, never read as row weights
         probs, labels = np.array([0.5, 0.6]), np.array([1, 0])
-        with pytest.raises(ValueError):
-            ws.optimize_cutoff(probs, labels, "f1", [])
-        with pytest.raises(ValueError):
-            ws.optimize_cutoff(probs, labels, "f1", [0.4, 0.4])
-        with pytest.raises(ValueError):
-            ws.optimize_cutoff(probs, labels, "f1", [0.0, 0.5])
-        with pytest.raises(ValueError, match="inside"):
-            ws.optimize_cutoff(probs, labels, "f1", [0.5, 1.0])
+        with pytest.raises(TypeError):
+            ws.optimize_cutoff(probs, labels, "f1", [0.1, 0.5])
+        with pytest.raises(TypeError):
+            ws.metrics.optimize_cutoffs(probs, labels, ("f1",), [0.1, 0.5])
+        with pytest.raises(TypeError):
+            ws.optimize_cutoff(probs, labels, "f1", grid=[0.1, 0.5])
         with pytest.raises(ValueError):
             ws.optimize_cutoff(probs, labels, "bogus")
-
-    def test_nan_grid_refused(self):
-        # a NaN compares false both ways, so a grid check built on
-        # "refuse where not increasing" let it through and theta came back
-        # as a grid point before the NaN
-        probs, labels = np.array([0.5, 0.6]), np.array([1, 0])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ws.optimize_cutoff(probs, labels, "f1", [0.1, np.nan, 0.5])
-        for grid in ([np.nan], [0.1, 0.5, np.nan], [np.nan, 0.5]):
-            with pytest.raises(ValueError):
-                ws.metrics.check_cutoff_grid(grid)
 
     def test_default_grid_shape(self):
         grid = ws.default_cutoff_grid()

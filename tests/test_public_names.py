@@ -8,7 +8,7 @@ PUBLIC_NAMES = {
     # configs
     "BUILTIN_CONFIGS", "CONFIG_A", "CONFIG_B", "CONFIG_C", "CONFIG_D", "ConfigSpec",
     "EventRate", "PredictorSpec", "aggregate_iv", "aiv_joint", "bayes_posterior",
-    "get_config", "information_value", "iv_between", "population_woe", "synthesize_config",
+    "information_value", "iv_between", "population_woe", "synthesize_config",
     # curve and charts
     "CurveFit", "fit_logistic_curve", "guideline_table", "emit_chart",
     # engine
@@ -34,5 +34,5 @@ def test_public_names_are_pinned():
         name for name, value in vars(ws).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60
     assert exported == PUBLIC_NAMES

@@ -307,19 +307,25 @@ class TestFitLogistic:
 class TestPredictProba:
     def test_zero_coefficients_give_half(self):
         model = ws.FittedModel(beta=(0.0, 0.0), converged=True, iterations=1, loglik=-1.0)
-        assert ws.predict_proba(model, [3.0]) == 0.5
-        assert ws.predict_proba(model, [-42.0]) == 0.5
+        assert ws.predict_proba(model, [[3.0], [-42.0]]).tolist() == [0.5, 0.5]
 
     def test_clamp_boundary_stays_inside_unit_interval(self):
         model = ws.FittedModel(beta=(0.0, 1.0), converged=True, iterations=1, loglik=-1.0)
-        p = ws.predict_proba(model, [1000.0])  # eta clamps to +30
+        (p,) = ws.predict_proba(model, [[1000.0]])  # eta clamps to +30
         assert p < 1.0
         assert 1.0 - p == pytest.approx(math.exp(-30) / (1 + math.exp(-30)), rel=1e-10)
 
     def test_monotone_in_feature_with_negative_coefficient(self):
         model = ws.FittedModel(beta=(0.3, -1.2), converged=True, iterations=1, loglik=-1.0)
-        values = [ws.predict_proba(model, [x]) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        values = ws.predict_proba(model, [[-2.0], [-1.0], [0.0], [1.0], [2.0]]).tolist()
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("features", [[0.5, 1.0], [[[0.5, 1.0]]]], ids=["1-D", "3-D"])
+    def test_features_other_than_a_matrix_refused(self, features):
+        # a single row used to come back as a float, and a 3-D stack as a matrix
+        model = ws.FittedModel(beta=(0.0, 1.0, -1.0), converged=True, iterations=1, loglik=-1.0)
+        with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+            ws.predict_proba(model, features)
 
 
 def small_n_design(config_id, n, rate, iteration):

@@ -177,17 +177,17 @@ def run_iteration(
         val = generate_sample(config, plan, RngStream(master_seed, iteration, "val"))
         test = generate_sample(config, plan, RngStream(master_seed, iteration, "test"))
 
-        train, train_w = compress(train, config.bin_counts)
-        table = estimate_woe(train, config.bin_counts, theta_adj, train_w)
-        model = fit_logistic(transform(train, table), train.Y, train_w)
+        train = compress(train)
+        table = estimate_woe(train, theta_adj)
+        model = fit_logistic(transform(train, table), train.Y, train.w)
 
-        val, val_w = compress(val, config.bin_counts)
+        val = compress(val)
         probs_val = predict_proba(model, transform(val, table))
-        cut_f1, cut_p4 = optimize_cutoffs(probs_val, val.Y, (METRIC_F1, METRIC_P4), weights=val_w)
+        cut_f1, cut_p4 = optimize_cutoffs(probs_val, val.Y, (METRIC_F1, METRIC_P4), weights=val.w)
 
-        test, test_w = compress(test, config.bin_counts)
+        test = compress(test)
         probs_test = predict_proba(model, transform(test, table))
-        cm_f1, cm_p4 = confusions(probs_test, test.Y, (cut_f1.theta, cut_p4.theta), test_w)
+        cm_f1, cm_p4 = confusions(probs_test, test.Y, (cut_f1.theta, cut_p4.theta), test.w)
         return IterationRecord(
             converged=model.converged,
             theta_f1=cut_f1.theta,
@@ -196,8 +196,8 @@ def run_iteration(
             f1_test=f1(cm_f1),
             p4_val=cut_p4.score,
             p4_test=p4(cm_p4),
-            gini_val=gini(probs_val, val.Y, val_w),
-            gini_test=gini(probs_test, test.Y, test_w),
+            gini_val=gini(probs_val, val.Y, val.w),
+            gini_test=gini(probs_test, test.Y, test.w),
             **base,
         )
     except (NoEvents, NoNonevents, DegenerateDesign):

@@ -49,6 +49,11 @@ class CutoffResult:
     score: float
 
 
+def _integer_typed(a: np.ndarray) -> bool:
+    """The rule for integer data: an integer dtype, so bool and whole floats fail."""
+    return a.dtype.kind in "iu"
+
+
 def _check_weights(weights, n: int) -> np.ndarray:
     """Frequency weights of n rows (None: one each), refused unless they are
     n nonnegative integers; a row of weight w counts as w identical rows."""
@@ -57,7 +62,7 @@ def _check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights)
     if w.shape != (n,):
         raise ValueError(f"weights must have one entry per row ({n}), got shape {w.shape}")
-    if w.dtype.kind not in "iu" or np.count_nonzero(w < 0):
+    if not _integer_typed(w) or np.count_nonzero(w < 0):
         raise ValueError("weights must be nonnegative integers")
     return w
 

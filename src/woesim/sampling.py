@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .configs import ConfigSpec, EventRate
 from .errors import DegeneratePlan, InsufficientEvents
-from .metrics import _check_labels, _class_counts
+from .metrics import _check_labels, _check_weights, _class_counts, _integer_typed
 from .rng import RngStream
 
 
@@ -60,8 +60,18 @@ def make_plan(n: int, rate: EventRate, clamp: bool = True) -> SamplingPlan:
 
 @dataclass(frozen=True)
 class Sample:
-    """Bin-index design matrix (1-based entries) plus its 0/1 response vector;
-    labels other than 0 and 1 are refused.
+    """Bin-index design matrix (1-based entries), its 0/1 response vector,
+    the bin space the entries index and one frequency weight per row.
+
+    ``bin_counts[j]`` is predictor j's number of bins, and every entry of
+    column j must lie in 1..bin_counts[j].  ``w`` (default: one per row) are
+    nonnegative integer frequency weights: a row of weight w counts as w
+    identical rows, so a sample reduced to weighted cells (see ``compress``)
+    stands for the rows behind it.  Everything is checked here, once:
+    bin indices and weights of any dtype but an integer one, bin indices
+    outside their range (``IndexError`` naming the predictor) and labels
+    other than 0 and 1 are refused.  The samples ``generate_sample`` draws
+    and ``compress`` reduces are valid by construction and skip the checks.
 
     Event rows come first by construction; every downstream estimator is
     invariant under row permutation, so the fixed order is purely for
@@ -70,20 +80,49 @@ class Sample:
 
     X: np.ndarray = field(repr=False)
     Y: np.ndarray = field(repr=False)
+    bin_counts: tuple[int, ...]
+    w: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        X = np.ascontiguousarray(self.X, dtype=np.int64)
+        X = np.asarray(self.X)
         Y = np.asarray(self.Y)
         if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
             raise ValueError(
                 f"X must be (n, d) and Y length n; got {X.shape} and {Y.shape}"
             )
+        if not _integer_typed(X):
+            raise ValueError(f"bin indices must be integers, got dtype {X.dtype}")
+        bin_counts = tuple(map(operator.index, self.bin_counts))
+        if len(bin_counts) != X.shape[1]:
+            raise ValueError(
+                f"sample has {X.shape[1]} predictors but {len(bin_counts)} bin counts given"
+            )
+        X = np.ascontiguousarray(X, dtype=np.int64)
+        bad = (X < 1) | (X > np.array(bin_counts))
+        if bad.any():
+            j = int(bad.any(axis=0).argmax())
+            raise IndexError(f"predictor {j + 1}: bin index outside 1..{bin_counts[j]}")
         _check_labels(Y)
         Y = np.ascontiguousarray(Y, dtype=np.int64)
-        X.flags.writeable = False
-        Y.flags.writeable = False
+        w = np.ascontiguousarray(_check_weights(self.w, Y.size), dtype=np.int64)
+        self._set(X, Y, bin_counts, w)
+
+    @classmethod
+    def _built_valid(cls, X, Y, bin_counts, w) -> Sample:
+        """A sample of arrays this module built valid (int64 bins in range,
+        int64 0/1 labels, nonnegative int64 weights), without the checks:
+        on every drawn and every compressed split they cost ~8% of the
+        large-n bench's iterations per second."""
+        sample = object.__new__(cls)
+        sample._set(X, Y, bin_counts, w)
+        return sample
+
+    def _set(self, X, Y, bin_counts, w) -> None:
+        X.flags.writeable = Y.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "bin_counts", bin_counts)
+        object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
@@ -126,38 +165,34 @@ def generate_sample(
         if not (u.min() >= 0.0 and u.max() < 1.0):
             raise ValueError("every variate must lie in [0, 1)")
     X = config.guide_table.invert(u, n1)
-    Y = np.zeros(n, dtype=bool)  # 0/1 by type, so ``Sample`` need not scan it
-    Y[:n1] = True
-    return Sample(X=X, Y=Y)
+    Y = np.zeros(n, dtype=np.int64)
+    Y[:n1] = 1
+    # the table's bins lie in 1..bin_counts[j], so the sample is valid as built
+    return Sample._built_valid(X, Y, config.bin_counts, np.ones(n, dtype=np.int64))
 
 
-def compress(sample: Sample, bin_counts: Sequence[int]) -> tuple[Sample, np.ndarray]:
+def compress(sample: Sample) -> Sample:
     """Reduce a sample to one weighted row per observed (joint cell, class).
 
     Rows with the same bins and class are interchangeable to every
     estimator downstream, so a sample of n rows over K = prod(bin_counts)
     joint cells carries the same information as per-cell event and
-    nonevent counts.  When K <= n the result holds one row per observed
-    (cell, class) pair, event rows first, each class in ascending cell
-    order, with its row count as int64 weight; bin indices outside
-    1..bin_counts[j] raise ``IndexError`` before any cell is encoded.  When
-    K > n reducing cannot pay, and the sample comes back as it is with
-    unit weights.
+    nonevent weight totals.  When K <= n the result holds one row per
+    (cell, class) pair of positive total weight, event rows first, each
+    class in ascending cell order, with that total as its weight; so a
+    compressed sample compresses to itself.  When K > n reducing cannot
+    pay, and the sample itself comes back.
     """
-    if len(bin_counts) != sample.d:
-        raise ValueError(
-            f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
-        )
+    bin_counts = sample.bin_counts
     n_cells = math.prod(bin_counts)
     if n_cells > sample.n:
-        return sample, np.ones(sample.n, dtype=np.int64)
-    try:
-        # K <= n keeps the mixed-radix code far inside int64
-        code = np.ravel_multi_index(tuple(sample.X.T - 1), bin_counts)
-    except ValueError:
-        raise IndexError(f"bin index outside 1..{tuple(bin_counts)}") from None
+        return sample
+    # K <= n keeps the mixed-radix code far inside int64
+    code = np.ravel_multi_index(tuple(sample.X.T - 1), bin_counts)
     # slot = cell for events, K + cell for nonevents
-    counts = _class_counts(code, n_cells, sample.Y, None).ravel()
+    counts = _class_counts(code, n_cells, sample.Y, sample.w).ravel()
     slots = np.flatnonzero(counts)
     X = np.column_stack(np.unravel_index(slots % n_cells, bin_counts)) + 1
-    return Sample(X=X, Y=slots < n_cells), counts[slots]
+    # a valid sample's observed cells, their classes and positive totals
+    Y = (slots < n_cells).astype(np.int64)
+    return Sample._built_valid(X, Y, bin_counts, counts[slots])

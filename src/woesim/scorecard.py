@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -41,13 +40,14 @@ class WoeTable:
     theta_adj: float
 
     @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every predictor's WoE in one flat array, with the bin counts and
-        the ``_bin_layout`` offsets that index it; built on first use and
-        kept with the table (equality and repr still see the fields alone)."""
-        n_bins = np.array([len(row) for row in self.woe])
+    def _lookup(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """Every predictor's WoE in one flat array, with the bin counts (a
+        tuple, as ``Sample.bin_counts`` holds them) and the ``_bin_layout``
+        offsets that index it; built on first use and kept with the table
+        (equality and repr still see the fields alone)."""
+        bin_counts = tuple(len(row) for row in self.woe)
         flat = np.fromiter(chain.from_iterable(self.woe), dtype=float)
-        return flat, n_bins, _bin_layout(n_bins)[1]
+        return flat, bin_counts, _bin_layout(np.array(bin_counts))[1]
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,6 @@ def _split_rows(flat: list, ends: list) -> tuple[tuple, ...]:
     return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
 
 
-def _check_bins(X: np.ndarray, n_bins: np.ndarray) -> None:
-    bad = (X < 1) | (X > n_bins)
-    if bad.any():
-        j = int(bad.any(axis=0).argmax())
-        raise IndexError(f"predictor {j + 1}: bin index outside 1..{n_bins[j]}")
-
-
 def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
     """Adjusted WoE of a bin: ln[((n0jk + t)/n0) / ((n1jk + t)/n1)].
 
@@ -97,27 +90,19 @@ def check_theta_adj(theta_adj: float) -> None:
         raise ValueError(f"theta_adj must be finite and nonnegative, got {theta_adj}")
 
 
-def estimate_woe(
-    sample: Sample, bin_counts: Sequence[int], theta_adj: float = 0.5, weights=None
-) -> WoeTable:
+def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:
     """Estimate per-bin weights of evidence from a training sample.
 
     The adjustment ``theta_adj`` (default 0.5, the common software default)
     is added to every bin count before normalizing, keeping estimates
-    finite for bins one class never visited.  The table covers all bins in
-    ``bin_counts``, including those absent from the sample.
+    finite for bins one class never visited.  The table covers every bin of
+    the sample's ``bin_counts``, including those absent from the sample.
 
-    ``weights`` (default: one per row) are nonnegative integer frequency
-    weights: a row of weight w counts as w identical rows, so a sample
-    reduced to weighted cells (see ``compress``) gives the table of the rows
-    behind it.
+    Rows count with their frequency weights, so a sample reduced to
+    weighted cells (see ``compress``) gives the table of the rows behind it.
     """
     check_theta_adj(theta_adj)
-    if len(bin_counts) != sample.d:
-        raise ValueError(
-            f"sample has {sample.d} predictors but {len(bin_counts)} bin counts given"
-        )
-    w = _check_weights(weights, sample.n)
+    w = sample.w
     n1 = int(w @ sample.Y)
     n0 = int(w.sum()) - n1
     if n1 == 0:
@@ -125,8 +110,7 @@ def estimate_woe(
     if n0 == 0:
         raise NoNonevents("training sample contains no nonevents")
 
-    n_bins = np.asarray(bin_counts, dtype=np.int64)
-    _check_bins(sample.X, n_bins)
+    n_bins = np.array(sample.bin_counts, dtype=np.int64)
     # one count slot per (predictor, bin); every entry of a row carries its class and weight
     ends, offsets = _bin_layout(n_bins)
     c1, c0 = _class_counts(
@@ -147,18 +131,20 @@ def estimate_woe(
         theta_adj=float(theta_adj),
     )
     # the flat WoE array is the lookup ``transform`` would rebuild from the tuples
-    object.__setattr__(table, "_lookup", (woe, n_bins, offsets))
+    object.__setattr__(table, "_lookup", (woe, sample.bin_counts, offsets))
     return table
 
 
 def transform(sample: Sample, table: WoeTable) -> np.ndarray:
-    """Map a sample's bin indices to the training-estimated WoE features."""
-    if sample.d != len(table.woe):
+    """Map a sample's bin indices to the training-estimated WoE features.
+
+    The table must cover the sample's bin space; a sample's bins are in
+    range by construction, so that is the one check."""
+    flat, bin_counts, starts = table._lookup
+    if sample.bin_counts != bin_counts:
         raise ValueError(
-            f"sample has {sample.d} predictors, table has {len(table.woe)}"
+            f"sample has bin counts {sample.bin_counts}, table has {bin_counts}"
         )
-    flat, n_bins, starts = table._lookup
-    _check_bins(sample.X, n_bins)
     return flat[sample.X + starts]
 
 

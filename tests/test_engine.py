@@ -125,7 +125,7 @@ class TestRunIteration:
         outputs = []
         for test_seed in (0, 1):
             _ = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(test_seed, 99, "test"))
-            table = ws.estimate_woe(train, ws.CONFIG_B.bin_counts)
+            table = ws.estimate_woe(train)
             model = ws.fit_logistic(ws.transform(train, table), train.Y)
             probs_val = ws.predict_proba(model, ws.transform(val, table))
             cut = ws.optimize_cutoff(probs_val, val.Y, "f1")

@@ -1,11 +1,12 @@
 """Property tests.
 
 A weighted row counts exactly as that many replicated rows: the engine
-reduces every split to weighted joint cells (``compress``) and hands the
-weights to the WoE estimate, the fit and the metrics, so each of them must
-agree with the unweighted call on the rows the weights stand for.  The fit's
-Newton step solves as ``np.linalg.solve`` does and falls back to least
-squares exactly where that raises.  The results and
+reduces every split to a ``Sample`` of weighted joint cells (``compress``,
+which keeps any input weights and leaves its own output as it is) and
+hands its weights to the WoE estimate, the fit and the metrics, so each of
+them must agree with the unweighted call on the rows the weights stand
+for.  The fit's Newton step solves as ``np.linalg.solve`` does and falls
+back to least squares exactly where that raises.  The results and
 summary CSVs round-trip any record, the config synthesiser either hits
 its target or says it cannot, the sampler consumes its stream in the
 documented order, the grid's records do not depend on the schedule, and
@@ -124,8 +125,9 @@ def test_confusions_equals_one_count_per_cutoff(data, thetas):
 
 
 @st.composite
-def binned_samples(draw, max_rows=80):
-    """A sample over 1-3 predictors of 2-4 bins, holding both classes."""
+def binned_samples(draw, max_rows=80, weighted=False):
+    """A sample over 1-3 predictors of 2-4 bins, holding both classes; with
+    ``weighted``, its rows weigh 0-4, the first event and nonevent at least 1."""
     bin_counts = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
     n = draw(st.integers(2, max_rows))
     X = np.column_stack([
@@ -133,48 +135,86 @@ def binned_samples(draw, max_rows=80):
     ])
     Y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     Y[0], Y[1] = 1, 0
-    return ws.Sample(X=X, Y=Y), bin_counts
+    w = None
+    if weighted:
+        w = np.asarray(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        w[:2] += w[:2] == 0
+    return ws.Sample(X=X, Y=Y, bin_counts=bin_counts, w=w)
 
 
-@given(binned_samples())
-def test_compress_preserves_per_class_bin_counts(data):
-    sample, bin_counts = data
-    cells, weights = ws.compress(sample, bin_counts)
-    assert weights.dtype == np.int64 and weights.min() >= 1 and weights.sum() == sample.n
-    if math.prod(bin_counts) > sample.n:
-        assert cells is sample and np.all(weights == 1)
+def expand(sample):
+    """The unweighted rows a weighted sample stands for."""
+    return ws.Sample(*replicate(sample.w, sample.X, sample.Y), bin_counts=sample.bin_counts)
+
+
+def cell_totals(sample) -> dict:
+    """Each (bins, class) pair's total weight, pairs of weight 0 left out."""
+    totals = {}
+    for x, y, w in zip(map(tuple, sample.X.tolist()), sample.Y.tolist(), sample.w.tolist()):
+        totals[x, y] = totals.get((x, y), 0) + w
+    return {key: w for key, w in totals.items() if w}
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(binned_samples(weighted=True))
+def test_compress_preserves_per_class_bin_counts(sample):
+    # input weights are honoured: every (cell, class) keeps its total weight
+    cells = ws.compress(sample)
+    if math.prod(sample.bin_counts) > sample.n:
+        assert cells is sample
     else:
         keys = [(tuple(x), y) for x, y in zip(cells.X.tolist(), cells.Y.tolist())]
-        assert len(set(keys)) == len(keys)
-    replicated = ws.Sample(*replicate(weights, cells.X, cells.Y))
-    assert ws.estimate_woe(replicated, bin_counts) == ws.estimate_woe(sample, bin_counts)
+        assert len(set(keys)) == len(keys) and cells.w.min() >= 1
+        assert cells.bin_counts == sample.bin_counts
+    assert cell_totals(cells) == cell_totals(sample)
+    # the cells pass every check of a Sample, which compress skips
+    ws.Sample(X=cells.X, Y=cells.Y, bin_counts=cells.bin_counts, w=cells.w)
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (cells.X, cells.Y, cells.w))
+    again = ws.compress(cells)
+    assert all(same_bytes(getattr(again, a), getattr(cells, a)) for a in ("X", "Y", "w"))
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["K<=n", "K>n"])
-@given(data=binned_samples(), draw=st.data())
-def test_weighted_woe_equals_replicated_rows(reduced, data, draw):
-    sample, bin_counts = data
-    assume((math.prod(bin_counts) <= sample.n) == reduced)
-    expected = ws.estimate_woe(sample, bin_counts)
-    cells, weights = ws.compress(sample, bin_counts)
-    assert ws.estimate_woe(cells, bin_counts, weights=weights) == expected
-    weights = np.asarray(draw.draw(st.lists(st.integers(1, 5), min_size=sample.n, max_size=sample.n)))
-    replicated = ws.Sample(*replicate(weights, sample.X, sample.Y))
-    assert ws.estimate_woe(sample, bin_counts, weights=weights) == ws.estimate_woe(
-        replicated, bin_counts
-    )
+@given(binned_samples(weighted=True))
+def test_weighted_woe_equals_replicated_rows(reduced, sample):
+    # weighted cells give the WoE table, fit, cutoffs, confusions and Gini
+    # of the rows behind them, as ``run_iteration`` computes each
+    assume((math.prod(sample.bin_counts) <= sample.n) == reduced)
+    cells, rows = ws.compress(sample), expand(sample)
+    table = ws.estimate_woe(cells)
+    assert table == ws.estimate_woe(rows) == ws.estimate_woe(sample)
+    F, row_F = ws.transform(cells, table), ws.transform(rows, table)
+    # the fit's weighted design is the rows' design, so it fits their model
+    # (``test_weighted_fit_matches_replicated_rows``); a fit on the rows
+    # themselves is not compared, as under separation its longer sums stop
+    # it elsewhere
+    design = np.column_stack([F, cells.Y])
+    row_design = np.column_stack([row_F, rows.Y])
+    assert sorted(np.repeat(design, cells.w, axis=0).tolist()) == sorted(row_design.tolist())
+    model = ws.fit_logistic(F, cells.Y, cells.w)
+    # each row takes its cell's score, so the rest is exact
+    probs = ws.predict_proba(model, F)
+    row_probs = np.repeat(probs, cells.w)
+    row_labels = np.repeat(cells.Y, cells.w)
+    both = (ws.METRIC_F1, ws.METRIC_P4)
+    cuts = optimize_cutoffs(probs, cells.Y, both, weights=cells.w)
+    assert cuts == optimize_cutoffs(row_probs, row_labels, both)
+    thetas = [cut.theta for cut in cuts]
+    assert confusions(probs, cells.Y, thetas, cells.w) == confusions(row_probs, row_labels, thetas)
+    assert ws.gini(probs, cells.Y, cells.w) == ws.gini(row_probs, row_labels)
 
 
 @given(binned_samples(), st.data())
-def test_compress_refuses_out_of_range_bins(data, draw):
-    sample, bin_counts = data
-    assume(math.prod(bin_counts) <= sample.n)
+def test_sample_refuses_out_of_range_bins(sample, draw):
     j = draw.draw(st.integers(0, sample.d - 1))
-    bad = draw.draw(st.sampled_from([0, -1, bin_counts[j] + 1]))
+    bad = draw.draw(st.sampled_from([0, -1, sample.bin_counts[j] + 1]))
     X = sample.X.copy()
     X[draw.draw(st.integers(0, sample.n - 1)), j] = bad
-    with pytest.raises(IndexError):
-        ws.compress(ws.Sample(X=X, Y=sample.Y), bin_counts)
+    with pytest.raises(IndexError, match=rf"predictor {j + 1}: bin index outside 1\.\.{sample.bin_counts[j]}"):
+        ws.Sample(X=X, Y=sample.Y, bin_counts=sample.bin_counts)
 
 
 @st.composite
@@ -423,7 +463,12 @@ def test_generate_sample_inverts_any_variates_as_searchsorted(data):
     ))
     plan = ws.SamplingPlan(n=u.shape[1], n1=n1, pi1=n1 / u.shape[1])
     gen = SimpleNamespace(random=lambda shape: u.reshape(shape))
-    assert np.array_equal(ws.generate_sample(config, plan, gen).X, reference_bins(predictors, u, n1))
+    sample = ws.generate_sample(config, plan, gen)
+    assert np.array_equal(sample.X, reference_bins(predictors, u, n1))
+    # the sample passes every check of a Sample, which generate_sample skips
+    assert sample.bin_counts == config.bin_counts and sample.w.tolist() == [1] * plan.n
+    ws.Sample(X=sample.X, Y=sample.Y, bin_counts=sample.bin_counts, w=sample.w)
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (sample.X, sample.Y, sample.w))
 
 
 @settings(max_examples=5)

@@ -153,11 +153,46 @@ class TestSample:
     def test_labels_outside_0_1_rejected(self, label):
         # a 2 would count as an event in n_event but a nonevent in the bin counts
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            ws.Sample(X=np.ones((4, 1), dtype=np.int64), Y=np.array([label, 0, 0, 1]))
+            ws.Sample(X=np.ones((4, 1), dtype=np.int64), Y=np.array([label, 0, 0, 1]), bin_counts=(1,))
 
     def test_bool_labels_become_int64(self):
-        sample = ws.Sample(X=np.ones((3, 1), dtype=np.int64), Y=np.array([True, False, True]))
+        sample = ws.Sample(X=np.ones((3, 1), dtype=np.int64), Y=np.array([True, False, True]), bin_counts=(1,))
         assert sample.Y.dtype == np.int64 and sample.Y.tolist() == [1, 0, 1]
+
+    def test_weights_default_to_one_int64_per_row(self):
+        sample = ws.Sample(X=[[1], [2], [1]], Y=[1, 0, 0], bin_counts=(2,))
+        assert sample.w.dtype == np.int64 and sample.w.tolist() == [1, 1, 1]
+        assert not sample.w.flags.writeable
+
+    @pytest.mark.parametrize(
+        "X",
+        [np.array([[1.7], [2.2], [1.0]]), np.array([[1.0], [np.nan], [2.0]]), np.array([[True]] * 3)],
+        ids=["fractional", "nan", "bool"],
+    )
+    def test_non_integer_bins_refused(self, X):
+        # these used to be cast to bins 1, 2, 1 / -2**63 / 1 without an error
+        with pytest.raises(ValueError, match="bin indices must be integers"):
+            ws.Sample(X=X, Y=np.array([1, 0, 0]), bin_counts=(2,))
+
+    def test_out_of_range_bin_names_predictor(self):
+        for bad in (0, -1, 4):
+            X = np.array([[1, 2], [2, bad], [1, 1]])
+            with pytest.raises(IndexError, match=r"predictor 2: bin index outside 1\.\.3"):
+                ws.Sample(X=X, Y=np.array([1, 0, 0]), bin_counts=(2, 3))
+
+    def test_bin_counts_of_another_length_refused(self):
+        with pytest.raises(ValueError, match="2 predictors but 3 bin counts"):
+            ws.Sample(X=np.ones((3, 2), dtype=np.int64), Y=np.array([1, 0, 0]), bin_counts=(2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "w",
+        [np.array([1, 2]), np.array([[1, 2, 1]]), np.array([1, -1, 2]), np.array([1.0, 2.0, 1.0]),
+         np.array([True, False, True])],
+        ids=["wrong length", "2-D", "negative", "fractional", "bool"],
+    )
+    def test_bad_weights_refused(self, w):
+        with pytest.raises(ValueError, match="weights"):
+            ws.Sample(X=np.ones((3, 1), dtype=np.int64), Y=np.array([1, 0, 0]), bin_counts=(1,), w=w)
 
 
 class TestGenerateSample:

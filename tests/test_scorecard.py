@@ -11,16 +11,16 @@ import woesim as ws
 from woesim.scorecard import _clamped_probs, _loglik
 
 
-def build_sample(bins_by_row, labels):
+def build_sample(bins_by_row, labels, bin_counts, w=None):
     X = np.asarray(bins_by_row, dtype=np.int64)
     if X.ndim == 1:
         X = X[:, None]
-    return ws.Sample(X=X, Y=np.asarray(labels, dtype=np.int64))
+    return ws.Sample(X=X, Y=np.asarray(labels, dtype=np.int64), bin_counts=bin_counts, w=w)
 
 
 #: Each weighted entry point called on three rows, with the weights to check.
 WEIGHTED_ENTRY_POINTS = {
-    "estimate_woe": lambda w: ws.estimate_woe(build_sample([1, 2, 1], [1, 0, 0]), (2,), weights=w),
+    "estimate_woe": lambda w: ws.estimate_woe(build_sample([1, 2, 1], [1, 0, 0], (2,), w)),
     "fit_logistic": lambda w: ws.fit_logistic(np.array([[0.5], [-0.5], [0.5]]), np.array([1.0, 0.0, 0.0]), w),
     "confusion": lambda w: ws.confusion((0.9, 0.2, 0.8), (1, 0, 0), 0.5, w),
     "optimize_cutoff": lambda w: ws.optimize_cutoff((0.9, 0.2, 0.8), (1, 0, 0), "f1", weights=w),
@@ -52,8 +52,8 @@ class TestAdjustedWoe:
 
 class TestEstimateWoe:
     def test_counts_and_tables_cover_all_bins(self):
-        sample = build_sample([1, 1, 2, 2, 2, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
-        table = ws.estimate_woe(sample, bin_counts=(3,), theta_adj=0.5)
+        sample = build_sample([1, 1, 2, 2, 2, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], (3,))
+        table = ws.estimate_woe(sample, theta_adj=0.5)
         assert table.n_event == 2 and table.n_nonevent == 8
         assert table.event_counts[0] == (2, 0, 0)
         assert table.nonevent_counts[0] == (5, 3, 0)
@@ -65,23 +65,23 @@ class TestEstimateWoe:
     def test_count_marginals_match_totals(self):
         plan = ws.make_plan(500, ws.EventRate(0.1))
         sample = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(2, 0, "train"))
-        table = ws.estimate_woe(sample, ws.CONFIG_B.bin_counts)
+        table = ws.estimate_woe(sample)
         for j in range(sample.d):
             assert sum(table.event_counts[j]) == table.n_event
             assert sum(table.nonevent_counts[j]) == table.n_nonevent
 
     def test_single_class_rejected(self):
         with pytest.raises(ws.NoEvents):
-            ws.estimate_woe(build_sample([1, 2, 1], [0, 0, 0]), (2,))
+            ws.estimate_woe(build_sample([1, 2, 1], [0, 0, 0], (2,)))
         with pytest.raises(ws.NoNonevents):
-            ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1]), (2,))
+            ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1], (2,)))
 
     @pytest.mark.parametrize("theta_adj", [math.nan, math.inf, -1.0])
     def test_bad_theta_adj_rejected(self, theta_adj):
         # inf used to give NaN estimates and nan a table of NaN
-        sample = build_sample([1, 2, 1, 2], [1, 0, 0, 1])
+        sample = build_sample([1, 2, 1, 2], [1, 0, 0, 1], (2,))
         with pytest.raises(ValueError, match="theta_adj must be finite and nonnegative"):
-            ws.estimate_woe(sample, (2,), theta_adj)
+            ws.estimate_woe(sample, theta_adj)
 
     def test_bad_weights_rejected(self):
         # one weight rule for every weighted entry point, WoE estimate included
@@ -99,17 +99,12 @@ class TestEstimateWoe:
         for call in WEIGHTED_ENTRY_POINTS.values():
             call(np.array([1, 2, 1]))
 
-    def test_out_of_range_bin_names_predictor(self):
-        sample = build_sample([[1, 2], [2, 3], [1, 1]], [1, 0, 0])
-        with pytest.raises(IndexError, match=r"predictor 2: bin index outside 1\.\.2"):
-            ws.estimate_woe(sample, (2, 2))
-
     def test_antisymmetric_under_class_swap(self):
         plan = ws.make_plan(300, ws.EventRate(0.2))
         sample = ws.generate_sample(ws.CONFIG_A, plan, ws.RngStream(4, 0, "train"))
-        swapped = ws.Sample(X=sample.X.copy(), Y=1 - sample.Y)
-        t1 = ws.estimate_woe(sample, ws.CONFIG_A.bin_counts, 0.5)
-        t2 = ws.estimate_woe(swapped, ws.CONFIG_A.bin_counts, 0.5)
+        swapped = ws.Sample(X=sample.X.copy(), Y=1 - sample.Y, bin_counts=sample.bin_counts)
+        t1 = ws.estimate_woe(sample, 0.5)
+        t2 = ws.estimate_woe(swapped, 0.5)
         for j in range(sample.d):
             for k in range(len(t1.woe[j])):
                 assert t2.woe[j][k] == -t1.woe[j][k]  # exact negation
@@ -118,16 +113,14 @@ class TestEstimateWoe:
         plan = ws.make_plan(200, ws.EventRate(0.1))
         sample = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(6, 0, "train"))
         perm = np.random.default_rng(0).permutation(sample.n)
-        shuffled = ws.Sample(X=sample.X[perm], Y=sample.Y[perm])
-        assert ws.estimate_woe(sample, ws.CONFIG_B.bin_counts) == ws.estimate_woe(
-            shuffled, ws.CONFIG_B.bin_counts
-        )
+        shuffled = ws.Sample(X=sample.X[perm], Y=sample.Y[perm], bin_counts=sample.bin_counts)
+        assert ws.estimate_woe(sample) == ws.estimate_woe(shuffled)
 
     def test_consistency_against_population_woe(self):
         # balanced classes maximize per-bin counts; pinned stream
         plan = ws.SamplingPlan(n=200000, n1=100000, pi1=0.5)
         sample = ws.generate_sample(ws.CONFIG_A, plan, ws.RngStream(1, 0, "train"))
-        table = ws.estimate_woe(sample, ws.CONFIG_A.bin_counts, 0.5)
+        table = ws.estimate_woe(sample, 0.5)
         for j, pred in enumerate(ws.CONFIG_A.predictors):
             for k in range(pred.n_bins):
                 if pred.p_event[k] >= 0.05 and pred.p_nonevent[k] >= 0.05:
@@ -146,7 +139,7 @@ class TestTransform:
             n_nonevent=2,
             theta_adj=0.5,
         )
-        out = ws.transform(build_sample([1, 2, 1], [1, 0, 0]), table)
+        out = ws.transform(build_sample([1, 2, 1], [1, 0, 0], (2,)), table)
         assert out.tolist() == [[0.2], [-0.1], [0.2]]
 
     def test_zero_table_gives_zero_matrix(self):
@@ -158,7 +151,7 @@ class TestTransform:
             n_nonevent=1,
             theta_adj=0.5,
         )
-        sample = build_sample([[1, 3], [2, 1]], [1, 0])
+        sample = build_sample([[1, 3], [2, 1]], [1, 0], (2, 3))
         assert np.all(ws.transform(sample, table) == 0.0)
 
     def test_unknown_bin_rejected(self):
@@ -170,19 +163,27 @@ class TestTransform:
             n_nonevent=2,
             theta_adj=0.5,
         )
-        with pytest.raises(IndexError):
-            ws.transform(build_sample([1, 3], [1, 0]), table)
+        # a bin the table does not know can only come from a larger bin space
+        with pytest.raises(ValueError, match=r"bin counts \(3,\), table has \(2,\)"):
+            ws.transform(build_sample([1, 3], [1, 0], (3,)), table)
         pair = ((1, 1), (1, 1))
         two = dataclasses.replace(
             table, woe=((0.2, -0.1), (0.5, 0.4)), event_counts=pair, nonevent_counts=pair
         )
-        with pytest.raises(IndexError, match="predictor 2"):
-            ws.transform(build_sample([[1, 2], [2, 0]], [1, 0]), two)
+        with pytest.raises(ValueError, match=r"bin counts \(2, 3\), table has \(2, 2\)"):
+            ws.transform(build_sample([[1, 2], [2, 3]], [1, 0], (2, 3)), two)
+
+    def test_table_of_another_bin_space_refused(self):
+        # bins that fit both spaces used to be scored with the wrong predictor's bins
+        X = [[1, 1], [2, 2], [3, 3], [1, 2]]
+        table = ws.estimate_woe(build_sample(X, [1, 0, 0, 1], (4, 3)))
+        with pytest.raises(ValueError, match=r"bin counts \(3, 4\), table has \(4, 3\)"):
+            ws.transform(build_sample(X, [1, 0, 0, 1], (3, 4)), table)
 
     def test_recomputing_counts_reproduces_table(self):
         plan = ws.make_plan(400, ws.EventRate(0.1))
         train = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(9, 0, "train"))
-        table = ws.estimate_woe(train, ws.CONFIG_B.bin_counts)
+        table = ws.estimate_woe(train)
         feats = ws.transform(train, table)
         # every transformed cell equals its bin's table entry, and counting
         # rows per woe value recovers the stored counts
@@ -193,7 +194,7 @@ class TestTransform:
                 hits = train.X[:, j] == k + 1
                 assert int(np.count_nonzero(hits & (train.Y == 1))) == table.event_counts[j][k]
                 assert int(np.count_nonzero(hits & (train.Y == 0))) == table.nonevent_counts[j][k]
-        assert ws.estimate_woe(train, ws.CONFIG_B.bin_counts) == table
+        assert ws.estimate_woe(train) == table
 
 
 class TestFitLogistic:
@@ -334,9 +335,9 @@ def small_n_design(config_id, n, rate, iteration):
     config = ws.BUILTIN_CONFIGS[config_id]
     plan = ws.make_plan(n, ws.EventRate(rate))
     train = ws.generate_sample(config, plan, ws.RngStream(20260101, iteration, "train"))
-    table = ws.estimate_woe(train, config.bin_counts)
-    cells, weights = ws.compress(train, config.bin_counts)
-    return ws.transform(cells, table), cells.Y, weights
+    table = ws.estimate_woe(train)
+    cells = ws.compress(train)
+    return ws.transform(cells, table), cells.Y, cells.w
 
 
 # exact reprs of the fits, so a reordered reduction or a changed step shows

@@ -40,7 +40,6 @@ from .errors import (
     DegeneratePlan,
     EmptyCell,
     EnumerationLimitError,
-    InsufficientEvents,
     InsufficientPoints,
     NoEvents,
     NoNonevents,

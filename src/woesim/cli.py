@@ -18,7 +18,6 @@ from .engine import DEFAULT_RATES, STUDY_SIZES, RunSpec, run_grid, summarize
 from .errors import (
     DegeneratePlan,
     EmptyCell,
-    InsufficientEvents,
     InsufficientPoints,
     WoesimError,
 )
@@ -32,7 +31,6 @@ EXIT_RUNTIME = 3
 # is missing, is a directory or cannot be written
 _INPUT_ERRORS = (
     DegeneratePlan,
-    InsufficientEvents,
     InsufficientPoints,
     OSError,
     ValueError,
@@ -70,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="WoE adjustment factor, finite and nonnegative")
     p.add_argument("--fixed-events", type=int, default=None,
                    help="fix the event count per sample, ignoring --rates")
-    p.add_argument("--no-clamp", action="store_true",
-                   help="refuse cells where floor(rate*n) = 0 instead of clamping to 1 event")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="results CSV path")
 
@@ -121,7 +117,6 @@ def _cmd_run(args) -> int:
         iterations=args.iters,
         master_seed=args.seed,
         theta_adj=args.theta_adj,
-        clamp=not args.no_clamp,
         fixed_events=args.fixed_events,
     )
     out = Path(args.out)

@@ -57,21 +57,19 @@ class RunSpec:
     iterations: int = 500
     master_seed: int = 0
     theta_adj: float = 0.5
-    clamp: bool = True
     fixed_events: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "configs", tuple(self.configs))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        # EventRate refuses a rate outside (0, 1)
+        object.__setattr__(self, "rates", tuple(EventRate(r).pi1 for r in self.rates))
         if not self.configs:
             raise ValueError("RunSpec needs at least one config")
         if not self.sizes:
             raise ValueError("RunSpec needs at least one sample size")
         if not self.rates:
             raise ValueError("RunSpec needs at least one event rate")
-        if any(not 0.0 < r < 1.0 for r in self.rates):
-            raise ValueError("event rates must lie in (0, 1)")
         # a repeated config id, size or rate would run its cells twice and
         # pool them; configs sharing an id would also share one AIV
         ids = tuple(config.id for config in self.configs)
@@ -219,7 +217,7 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
                 cells.append((config, plan))
             else:
                 for rate in spec.rates:
-                    plan = make_plan(n, EventRate(rate), clamp=spec.clamp)
+                    plan = make_plan(n, EventRate(rate))
                     cells.append((config, plan))
     return cells
 

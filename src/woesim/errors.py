@@ -21,12 +21,8 @@ class TargetUnreachable(WoesimError):
     """Config synthesis could not reach the requested strength target."""
 
 
-class InsufficientEvents(WoesimError):
-    """The planned event count floors to zero and clamping was not allowed."""
-
-
 class DegeneratePlan(WoesimError):
-    """A sampling plan without room for both classes (n1 >= n or n < 2)."""
+    """A sampling plan without room for both classes (n1 < 1, n1 >= n or n < 2)."""
 
 
 class NoEvents(WoesimError):

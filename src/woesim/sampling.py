@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configs import ConfigSpec, EventRate
-from .errors import DegeneratePlan, InsufficientEvents
+from .errors import DegeneratePlan
 from .metrics import _check_labels, _check_weights, _class_counts, _integer_typed
 from .rng import RngStream
 
@@ -31,34 +31,26 @@ class SamplingPlan:
         if self.n < 2:
             raise DegeneratePlan(f"need n >= 2, got n={self.n}")
         if self.n1 < 1:
-            raise InsufficientEvents(f"plan has no events (n1={self.n1})")
+            raise DegeneratePlan(f"plan has no events (n1={self.n1})")
         if self.n1 >= self.n:
             raise DegeneratePlan(f"plan has no nonevents (n1={self.n1}, n={self.n})")
 
 
-def make_plan(n: int, rate: EventRate, clamp: bool = True) -> SamplingPlan:
+def make_plan(n: int, rate: EventRate) -> SamplingPlan:
     """Plan n observations holding floor(pi1 * n) events.
 
-    When the floor lands on zero, ``clamp`` lifts the count to a single
-    event and records the fact; with ``clamp`` unset the plan is refused,
-    because a sample without events breaks every event-conditional
-    estimate downstream.
+    When the floor lands on zero the count is lifted to a single event and
+    the plan is flagged ``clamped``, because a sample without events breaks
+    every event-conditional estimate downstream.  ``SamplingPlan`` refuses
+    a plan without room for both classes.
     """
-    if n < 2:
-        raise DegeneratePlan(f"need n >= 2, got n={n}")
     # the epsilon guards against products like 0.29 * 100 rounding to
     # 28.999999999999996 and flooring one short of the intended count
     n1 = int(math.floor(rate.pi1 * n + 1e-9))
-    if n1 == 0:
-        if not clamp:
-            raise InsufficientEvents(
-                f"floor({rate.pi1} * {n}) = 0 events; pass clamp=True to force one"
-            )
-        return SamplingPlan(n=n, n1=1, pi1=rate.pi1, clamped=True)
-    return SamplingPlan(n=n, n1=n1, pi1=rate.pi1)
+    return SamplingPlan(n=n, n1=max(n1, 1), pi1=rate.pi1, clamped=n1 == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Bin-index design matrix (1-based entries), its 0/1 response vector,
     the bin space the entries index and one frequency weight per row.

@@ -160,11 +160,10 @@ def _clamped_probs(eta: np.ndarray) -> np.ndarray:
     return np.divide(1.0, eta, out=eta)
 
 
-def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray, a=None, b=None) -> float:
+def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray, a, b) -> float:
     """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w``
     as nonevents, ``event_w * log(p) + nonevent_w * log1p(-p)`` summed.  The
-    two terms are formed in ``a`` and ``b`` when given, buffers shaped like
-    ``p``, and in new arrays otherwise."""
+    two terms are formed in ``a`` and ``b``, buffers shaped like ``p``."""
     a = np.log(p, out=a)
     a *= event_w
     b = np.negative(p, out=b)

@@ -195,11 +195,6 @@ class TestRunGrid:
         records = ws.run_grid(spec)
         assert all(r.clamped for r in records)
 
-    def test_unclampable_cell_raises_when_clamp_disabled(self):
-        spec = small_spec(sizes=(50,), rates=(0.01,), iterations=2, clamp=False)
-        with pytest.raises(ws.InsufficientEvents):
-            ws.run_grid(spec)
-
 
 class TestSummarize:
     def test_odd_length_exact_order_statistics(self):

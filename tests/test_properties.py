@@ -8,7 +8,8 @@ them must agree with the unweighted call on the rows the weights stand
 for.  The fit's Newton step solves as ``np.linalg.solve`` does and falls
 back to least squares exactly where that raises.  The results and
 summary CSVs round-trip any record, the config synthesiser either hits
-its target or says it cannot, the sampler consumes its stream in the
+its target or says it cannot, a sampling plan holds floor(rate * n)
+events or one flagged event, the sampler consumes its stream in the
 documented order, the grid's records do not depend on the schedule, and
 each summary quantile is the one ``np.quantile`` gives on its field alone.
 The sampler's guide-table lookup gives the bins a per-(predictor, class)
@@ -168,6 +169,10 @@ def test_compress_preserves_per_class_bin_counts(sample):
     else:
         keys = [(tuple(x), y) for x, y in zip(cells.X.tolist(), cells.Y.tolist())]
         assert len(set(keys)) == len(keys) and cells.w.min() >= 1
+        # event rows first, each class in ascending bin order (the C-order
+        # cell code): the fit's sums, so every recorded bit, follow this order
+        order = [(-y, x) for x, y in keys]
+        assert order == sorted(order)
         assert cells.bin_counts == sample.bin_counts
     assert cell_totals(cells) == cell_totals(sample)
     # the cells pass every check of a Sample, which compress skips
@@ -383,6 +388,21 @@ def reference_sample(config, plan, gen):
         )
         columns.append(np.concatenate([events, nonevents]) + 1)
     return np.column_stack(columns)
+
+
+@given(st.integers(-5, 10**6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_make_plan_is_the_one_event_count_rule(n, rate):
+    # floor(rate * n) events, lifted to one and flagged when the floor is
+    # 0; a plan without room for both classes is refused, and nothing else
+    floor = math.floor(rate * n + 1e-9)
+    try:
+        plan = ws.make_plan(n, ws.EventRate(rate))
+    except ws.DegeneratePlan:
+        assert n < 2 or floor >= n
+        return
+    assert (plan.n, plan.pi1) == (n, rate)
+    assert plan.n1 == max(1, floor) and plan.clamped == (floor == 0)
+    assert 1 <= plan.n1 < n
 
 
 @given(sampling_inputs())

@@ -51,12 +51,8 @@ class TestMakePlan:
         # 0.29 * 100 evaluates to 28.999999999999996 in doubles
         assert ws.make_plan(100, ws.EventRate(0.29)).n1 == 29
 
-    def test_zero_floor_without_clamp_refused(self):
-        with pytest.raises(ws.InsufficientEvents):
-            ws.make_plan(50, ws.EventRate(0.01), clamp=False)
-
     def test_zero_floor_with_clamp_records_flag(self):
-        plan = ws.make_plan(50, ws.EventRate(0.01), clamp=True)
+        plan = ws.make_plan(50, ws.EventRate(0.01))
         assert plan.n1 == 1
         assert plan.clamped
         assert plan.pi1 == 0.01
@@ -65,11 +61,12 @@ class TestMakePlan:
         assert not ws.make_plan(100, ws.EventRate(0.05)).clamped
 
     def test_degenerate_plans_refused(self):
-        with pytest.raises(ws.DegeneratePlan):
-            ws.make_plan(1, ws.EventRate(0.5))
+        for n in (1, 0, -3):
+            with pytest.raises(ws.DegeneratePlan, match=f"need n >= 2, got n={n}"):
+                ws.make_plan(n, ws.EventRate(0.5))
         with pytest.raises(ws.DegeneratePlan):
             ws.SamplingPlan(n=10, n1=10, pi1=0.5)
-        with pytest.raises(ws.InsufficientEvents):
+        with pytest.raises(ws.DegeneratePlan):
             ws.SamplingPlan(n=10, n1=0, pi1=0.01)
 
 
@@ -173,6 +170,13 @@ class TestSample:
         # these used to be cast to bins 1, 2, 1 / -2**63 / 1 without an error
         with pytest.raises(ValueError, match="bin indices must be integers"):
             ws.Sample(X=X, Y=np.array([1, 0, 0]), bin_counts=(2,))
+
+    def test_equality_is_identity(self):
+        # value equality would compare the arrays as one tuple and raise
+        a = ws.Sample(X=[[1], [2]], Y=[1, 0], bin_counts=(2,))
+        b = ws.Sample(X=[[1], [2]], Y=[1, 0], bin_counts=(2,))
+        assert a == a and a != b
+        assert a in {a} and b not in {a} and len({a, b}) == 2
 
     def test_out_of_range_bin_names_predictor(self):
         for bad in (0, -1, 4):

@@ -277,7 +277,8 @@ class TestFitLogistic:
         design = np.column_stack([np.ones(n), F])
 
         def loglik(beta):
-            return _loglik(y, 1.0 - y, _clamped_probs(design @ beta))
+            p = _clamped_probs(design @ beta)
+            return _loglik(y, 1.0 - y, p, np.empty_like(p), np.empty_like(p))
 
         h = 1e-6
         for _ in range(10):

@@ -41,8 +41,6 @@ from .errors import (
     EmptyCell,
     EnumerationLimitError,
     InsufficientPoints,
-    NoEvents,
-    NoNonevents,
     SchemaError,
     TargetUnreachable,
     WoesimError,

@@ -35,13 +35,11 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    start = step * math.ceil(lo / step)
-    ticks = []
-    t = start
-    while t <= hi + 1e-12:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    # tick k sits at k * step, so a step below half an ulp of lo cannot
+    # stall the list.  At most count + 1 multiples of step >= raw lie in
+    # [lo, hi]; the 1e-12 slack may admit one more, never more than one.
+    first = math.ceil(lo / step)
+    return [round(k * step, 10) for k in range(first, first + count + 2) if k * step <= hi + 1e-12]
 
 
 def emit_chart(
@@ -50,7 +48,12 @@ def emit_chart(
     metric: str,
     split: str,
 ) -> str:
-    """Render the selected summary cell as a standalone SVG document."""
+    """Render the selected summary cell as a standalone SVG document.
+
+    A row whose q25, median or q75 is NaN or infinite is refused with
+    ``ValueError`` naming its n and rate, and so are values spanning more
+    than a float can hold.
+    """
     cell = [
         r for r in summaries
         if r.config_id == config_id and r.metric == metric and r.split == split
@@ -59,6 +62,12 @@ def emit_chart(
         raise EmptyCell(
             f"no summary rows for config={config_id!r} metric={metric!r} split={split!r}"
         )
+    for r in cell:
+        if not all(map(math.isfinite, (r.q25, r.median, r.q75))):
+            raise ValueError(
+                f"summary row at n={r.n}, rate={r.event_rate:g} has a non-finite "
+                "q25, median or q75, which a chart cannot place"
+            )
     by_rate: dict[float, list[SummaryRecord]] = {}
     for r in cell:
         by_rate.setdefault(r.event_rate, []).append(r)
@@ -71,6 +80,10 @@ def emit_chart(
     y_lo, y_hi = min(y_values), max(y_values)
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError(
+            f"summary values from {min(y_values):g} to {max(y_values):g} span too wide a range to chart"
+        )
 
     def px(n: float) -> float:
         return _scale(n, x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)

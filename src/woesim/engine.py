@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
-from .errors import DegenerateDesign, EmptyCell, NoEvents, NoNonevents
+from .errors import DegenerateDesign, EmptyCell
 from .metrics import METRIC_F1, METRIC_P4, confusions, f1, gini, optimize_cutoffs, p4
 
 # bench/layers.py traces these under this module, so they stay importable
@@ -71,7 +71,7 @@ class RunSpec:
         if not self.rates:
             raise ValueError("RunSpec needs at least one event rate")
         # a repeated config id, size or rate would run its cells twice and
-        # pool them; configs sharing an id would also share one AIV
+        # pool them; configs sharing an id would be summarized under one AIV
         ids = tuple(config.id for config in self.configs)
         if len(set(ids)) != len(ids):
             raise ValueError(f"config ids must be distinct, got {ids}")
@@ -149,7 +149,6 @@ def run_iteration(
     iteration: int,
     *,
     theta_adj: float = 0.5,
-    aiv: float | None = None,
 ) -> IterationRecord:
     """One full train/validate/test pass at a fixed sampling plan.
 
@@ -159,12 +158,13 @@ def run_iteration(
     cutoffs and ranked once threshold-free for concordance.  Every split
     is handled as weighted joint cells (see ``compress``), from the WoE
     estimate on, which leaves every count the estimators see unchanged.
+    A record is a function of its arguments alone: its three streams are
+    addressed by (master_seed, iteration, role), and its AIV is the
+    config's.
     """
-    if aiv is None:
-        aiv = aggregate_iv(config).aiv
     base = dict(
         config_id=config.id,
-        aiv=aiv,
+        aiv=aggregate_iv(config).aiv,
         n=plan.n,
         event_rate=plan.pi1,
         iteration=iteration,
@@ -198,7 +198,7 @@ def run_iteration(
             gini_test=gini(probs_test, test.Y, test.w),
             **base,
         )
-    except (NoEvents, NoNonevents, DegenerateDesign):
+    except DegenerateDesign:
         base["converged"] = False
         metrics = {f.name: math.nan for f in fields(IterationRecord) if f.name not in base}
         return IterationRecord(**base, **metrics)
@@ -223,9 +223,9 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
 
 
 def _run_cell(args) -> list[IterationRecord]:
-    spec, config, plan, aiv = args
+    spec, config, plan = args
     return [
-        run_iteration(config, plan, spec.master_seed, iteration, theta_adj=spec.theta_adj, aiv=aiv)
+        run_iteration(config, plan, spec.master_seed, iteration, theta_adj=spec.theta_adj)
         for iteration in range(spec.iterations)
     ]
 
@@ -240,9 +240,7 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cells = _plans_for(spec)
-    aivs = {config.id: aggregate_iv(config).aiv for config in spec.configs}
-    tasks = [(spec, config, plan, aivs[config.id]) for config, plan in cells]
+    tasks = [(spec, config, plan) for config, plan in _plans_for(spec)]
     # a process pool may start every worker at its first submit, so never
     # ask for more workers than there are cells; one cell runs serially
     workers = min(workers, len(tasks))

@@ -25,16 +25,8 @@ class DegeneratePlan(WoesimError):
     """A sampling plan without room for both classes (n1 < 1, n1 >= n or n < 2)."""
 
 
-class NoEvents(WoesimError):
-    """A sample contains no event observations."""
-
-
-class NoNonevents(WoesimError):
-    """A sample contains no nonevent observations."""
-
-
 class DegenerateDesign(WoesimError):
-    """Responses contain a single class, so the estimator is undefined."""
+    """A split's responses hold a single class, so the estimator is undefined."""
 
 
 class InsufficientPoints(WoesimError):

@@ -125,41 +125,30 @@ class Sample:
         return self.X.shape[1]
 
 
-def generate_sample(
-    config: ConfigSpec,
-    plan: SamplingPlan,
-    rng: RngStream | np.random.Generator,
-) -> Sample:
+def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sample:
     """Draw a sample: n1 event rows from p_event, the rest from p_nonevent.
 
-    Stream layout is fixed column-major: predictor j consumes its n1 event
-    variates, then its n - n1 nonevent variates, before predictor j+1
-    touches the stream.  Identical (config, plan, stream) inputs therefore
+    The variates come from the start of the stream ``rng`` addresses, in a
+    fixed column-major layout: predictor j consumes its n1 event variates,
+    then its n - n1 nonevent variates, before predictor j+1 touches the
+    stream.  Identical (config, plan, stream address) inputs therefore
     reproduce bit-identical samples.
 
     Each variate u in [0, 1) becomes a 1-based bin index by inverting the
     class's cumulative bin probabilities: the bins partition [0, 1) into
     right-open intervals in bin order, so a variate equal to an interior
     boundary falls in the bin to the boundary's right.  The config's
-    ``guide_table`` inverts the whole draw in one lookup.  ``rng`` may be
-    any object with a numpy-style ``random(shape)`` method; variates from
-    anything but a numpy ``Generator`` are checked, and one outside
-    [0, 1), NaN included, raises ``ValueError``.
+    ``guide_table`` inverts the whole draw in one lookup.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n, n1 = plan.n, plan.n1
     # row j of one draw is predictor j's n1 event variates, then its n - n1
     # nonevent variates: the stream order above, in a single call
-    u = gen.random((config.n_predictors, n))
-    if not isinstance(gen, np.random.Generator):
-        u = np.asarray(u, dtype=float)
-        # written so that a NaN, which compares false both ways, fails
-        if not (u.min() >= 0.0 and u.max() < 1.0):
-            raise ValueError("every variate must lie in [0, 1)")
+    u = rng.generator().random((config.n_predictors, n))
     X = config.guide_table.invert(u, n1)
     Y = np.zeros(n, dtype=np.int64)
     Y[:n1] = 1
-    # the table's bins lie in 1..bin_counts[j], so the sample is valid as built
+    # a Generator's variates lie in [0, 1) and the table's bins in
+    # 1..bin_counts[j], so the sample is valid as built
     return Sample._built_valid(X, Y, config.bin_counts, np.ones(n, dtype=np.int64))
 
 

@@ -9,7 +9,7 @@ from itertools import chain
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegenerateDesign, NoEvents, NoNonevents
+from .errors import DegenerateDesign
 from .metrics import _check_labels, _check_weights, _class_counts
 from .sampling import Sample
 
@@ -106,9 +106,9 @@ def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:
     n1 = int(w @ sample.Y)
     n0 = int(w.sum()) - n1
     if n1 == 0:
-        raise NoEvents("training sample contains no events")
+        raise DegenerateDesign("training sample contains no events")
     if n0 == 0:
-        raise NoNonevents("training sample contains no nonevents")
+        raise DegenerateDesign("training sample contains no nonevents")
 
     n_bins = np.array(sample.bin_counts, dtype=np.int64)
     # one count slot per (predictor, bin); every entry of a row carries its class and weight

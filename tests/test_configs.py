@@ -1,7 +1,9 @@
 """Population-level quantities: WoE, IV, AIV, Bayes posterior, synthesis."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,16 @@ class TestAggregateIv:
         for cfg in ws.BUILTIN_CONFIGS.values():
             report = ws.aggregate_iv(cfg)
             assert report.aiv == pytest.approx(math.fsum(report.ivs), abs=1e-12)
+
+    def test_report_is_built_once_per_config_from_its_predictors(self):
+        for cfg in ws.BUILTIN_CONFIGS.values():
+            report = ws.aggregate_iv(cfg)
+            assert ws.aggregate_iv(cfg) is report
+            ivs = tuple(ws.information_value(cfg, j) for j in range(1, cfg.n_predictors + 1))
+            assert report.ivs == ivs and report.aiv == math.fsum(ivs)
+            assert ws.aggregate_iv(pickle.loads(pickle.dumps(cfg))) == report
+        two = dataclasses.replace(ws.CONFIG_A, predictors=ws.CONFIG_A.predictors[:2])
+        assert ws.aggregate_iv(two).ivs == ws.aggregate_iv(ws.CONFIG_A).ivs[:2]
 
 
 def brute_force_aiv(cfg):

@@ -104,9 +104,15 @@ class TestRunIteration:
         ]
         assert abs(float(np.median(ginis))) < 0.05
 
+    def test_record_aiv_is_the_configs_own(self):
+        plan = ws.make_plan(60, ws.EventRate(0.1))
+        assert ws.run_iteration(ws.CONFIG_B, plan, 1, 0).aiv == ws.aggregate_iv(ws.CONFIG_B).aiv
+        with pytest.raises(TypeError):
+            ws.run_iteration(ws.CONFIG_B, plan, 1, 0, aiv=1.0)
+
     def test_estimator_failure_becomes_flagged_record(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise ws.NoEvents("forced")
+            raise ws.DegenerateDesign("forced")
 
         monkeypatch.setattr(engine, "estimate_woe", boom)
         plan = ws.make_plan(60, ws.EventRate(0.1))

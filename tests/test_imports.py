@@ -1,9 +1,14 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only
+``rng.py`` reaches ``numpy.random``.
 
 No linter runs on this code base, so a name left imported after its last
 use goes (a deleted exception class, a dropped helper) is caught here.
 The package ``__init__`` imports to re-export; ``test_public_names`` pins
 those names.
+
+Every draw is addressed by (master_seed, iteration, role) through an
+``RngStream``, so no other module may build, take or test for a numpy
+generator; annotating a parameter with its type is allowed.
 """
 
 import ast
@@ -49,3 +54,54 @@ def test_the_check_sees_a_stale_import():
 def test_no_module_imports_a_name_it_never_uses(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == ALLOWED.get(path.name, set())
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """The lines where ``source`` refers to ``numpy.random`` outside an annotation."""
+    tree = ast.parse(source)
+    numpy_names = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "numpy"
+    }
+    # parameter and variable annotations, and return annotations
+    annotations = [
+        ann for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)) if ann
+    ]
+    in_annotation = {id(sub) for ann in annotations for sub in ast.walk(ann)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names)
+            )
+        else:
+            hit = (
+                isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names
+                and id(node) not in in_annotation
+            )
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_numpy_random_outside_annotations():
+    source = (
+        "import numpy as np\n"
+        "from numpy import random\n"
+        "def f(gen: np.random.Generator) -> np.random.Generator:\n"
+        "    x: np.random.Generator = gen\n"
+        "    if isinstance(x, np.random.Generator):\n"
+        "        return np.random.default_rng(0)\n"
+    )
+    assert numpy_random_uses(source) == [2, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rng.py"], ids=lambda p: p.name)
+def test_only_rng_reaches_numpy_random(path):
+    assert numpy_random_uses(path.read_text(encoding="utf-8")) == []

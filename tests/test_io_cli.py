@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import json
+import math
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +421,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 2.91 TiB for an array\n"
         assert not out.exists()
+
+    @staticmethod
+    def report_of(tmp_path, medians):
+        """``report`` on one rate's rows at n = 100, 200, ..., each row's
+        quartiles and median equal to its given value."""
+        rows = [
+            ws.SummaryRecord(
+                config_id="B", aiv=1.0, n=100 * (i + 1), event_rate=0.05, metric="f1", split="test",
+                median=m, q25=m, q75=m, p05=m, p95=m, n_iter=10, n_nonconverged=0,
+            )
+            for i, m in enumerate(medians)
+        ]
+        summary, chart = tmp_path / "summary.csv", tmp_path / "c.svg"
+        io.save_summary_csv(rows, summary)
+        code = cli.main(["report", "--in", str(summary), "--cell", "B:f1:test", "--out", str(chart)])
+        return code, chart
+
+    def test_report_of_a_cell_a_few_ulps_wide_finishes(self, tmp_path):
+        # a tick step below half an ulp of 0.5 must not stall the tick list;
+        # the alarm is short because a stalled list takes memory fast
+        def stuck(signum, frame):
+            raise TimeoutError("report did not finish")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(3)
+        try:
+            code, chart = self.report_of(tmp_path, [0.5, float(np.nextafter(0.5, 1.0))])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        assert 1 <= chart.read_text().count('text-anchor="end"') <= 7  # count + 2 ticks at most
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_report_refuses_a_non_finite_cell_naming_its_row(self, tmp_path, capsys, bad):
+        # neither an OverflowError traceback (inf) nor "nan" coordinates in
+        # a written chart (NaN)
+        code, chart = self.report_of(tmp_path, [0.5, bad, 0.6])
+        assert code == 2
+        assert "n=200, rate=0.05" in capsys.readouterr().err
+        assert not chart.exists()
+
+    def test_report_refuses_finite_values_spanning_more_than_a_float(self, tmp_path, capsys):
+        # the padded range would overflow to inf
+        code, chart = self.report_of(tmp_path, [-1e308, 1e308])
+        assert code == 2
+        assert "too wide a range" in capsys.readouterr().err
+        assert not chart.exists()
 
     def test_report_bad_cell_selector_exits_2(self, tmp_path):
         rows, _ = synthetic_summary_rows()

@@ -10,8 +10,9 @@ back to least squares exactly where that raises.  The results and
 summary CSVs round-trip any record, the config synthesiser either hits
 its target or says it cannot, a sampling plan holds floor(rate * n)
 events or one flagged event, the sampler consumes its stream in the
-documented order, the grid's records do not depend on the schedule, and
-each summary quantile is the one ``np.quantile`` gives on its field alone.
+documented order, the grid's records do not depend on the schedule,
+each of them is the one ``run_iteration`` gives at its address, and each
+summary quantile is the one ``np.quantile`` gives on its field alone.
 The sampler's guide-table lookup gives the bins a per-(predictor, class)
 ``searchsorted`` gives, on cdf and bucket edges too, and the batched
 cutoff search and confusion count give what one call per metric or
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
@@ -362,7 +363,7 @@ def test_synthesize_config_hits_target_or_raises(bins, target, tol, seed):
 
 @st.composite
 def sampling_inputs(draw):
-    """A config of 1-4 predictors with 2-6 bins, a plan and a seed."""
+    """A config of 1-4 predictors with 2-6 bins, a plan and a stream."""
     predictors = []
     for j in range(draw(st.integers(1, 4))):
         n_bins = draw(st.integers(2, 6))
@@ -374,7 +375,10 @@ def sampling_inputs(draw):
     n = draw(st.integers(2, 60))
     n1 = draw(st.integers(1, n - 1))
     plan = ws.SamplingPlan(n=n, n1=n1, pi1=n1 / n)
-    return ws.ConfigSpec("P", tuple(predictors)), plan, draw(st.integers(0, 2**32))
+    stream = ws.RngStream(
+        draw(st.integers(0, 2**32)), draw(st.integers(0, 10**6)), draw(st.sampled_from(["train", "val", "test"]))
+    )
+    return ws.ConfigSpec("P", tuple(predictors)), plan, stream
 
 
 def reference_sample(config, plan, gen):
@@ -407,14 +411,14 @@ def test_make_plan_is_the_one_event_count_rule(n, rate):
 
 @given(sampling_inputs())
 def test_generate_sample_follows_documented_stream_layout(data):
-    config, plan, seed = data
-    gen = np.random.default_rng(seed)
-    sample = ws.generate_sample(config, plan, gen)
-    expected_gen = np.random.default_rng(seed)
-    assert np.array_equal(sample.X, reference_sample(config, plan, expected_gen))
+    config, plan, stream = data
+    sample = ws.generate_sample(config, plan, stream)
+    assert np.array_equal(sample.X, reference_sample(config, plan, stream.generator()))
     assert sample.Y.tolist() == [1] * plan.n1 + [0] * (plan.n - plan.n1)
-    # the sample consumed exactly d * n variates: both streams continue alike
-    assert gen.random() == expected_gen.random()
+    # the sample passes every check of a Sample, which generate_sample skips
+    assert sample.bin_counts == config.bin_counts and sample.w.tolist() == [1] * plan.n
+    ws.Sample(X=sample.X, Y=sample.Y, bin_counts=sample.bin_counts, w=sample.w)
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (sample.X, sample.Y, sample.w))
 
 
 @st.composite
@@ -430,13 +434,13 @@ def bin_dist(draw, n_bins):
 
 
 @st.composite
-def guide_inputs(draw, min_bins=1):
-    """1-4 predictors of min_bins-8 bins, and (d, n) variates that hit cdf
+def guide_inputs(draw):
+    """1-4 predictors of 1-8 bins, and (d, n) variates that hit cdf
     edges, the doubles just below them, the bucket edges k/M, the inside
     of the buckets edges cut, and anywhere else in [0, 1)."""
     predictors = []
     for _ in range(draw(st.integers(1, 4))):
-        n_bins = draw(st.integers(min_bins, 8))
+        n_bins = draw(st.integers(1, 8))
         predictors.append(SimpleNamespace(p_event=draw(bin_dist(n_bins)), p_nonevent=draw(bin_dist(n_bins))))
     edges = sorted({
         float(e) for p in predictors for dist in (p.p_event, p.p_nonevent) for e in bin_cdf(dist)[:-1]
@@ -475,22 +479,6 @@ def test_guide_table_equals_searchsorted_per_predictor_and_class(data):
     assert np.array_equal(GuideTable(predictors).invert(u, n1), reference_bins(predictors, u, n1))
 
 
-@given(guide_inputs(min_bins=2))
-def test_generate_sample_inverts_any_variates_as_searchsorted(data):
-    predictors, u, n1 = data
-    config = ws.ConfigSpec("P", tuple(
-        ws.PredictorSpec(f"X{j + 1}", p.p_event, p.p_nonevent) for j, p in enumerate(predictors)
-    ))
-    plan = ws.SamplingPlan(n=u.shape[1], n1=n1, pi1=n1 / u.shape[1])
-    gen = SimpleNamespace(random=lambda shape: u.reshape(shape))
-    sample = ws.generate_sample(config, plan, gen)
-    assert np.array_equal(sample.X, reference_bins(predictors, u, n1))
-    # the sample passes every check of a Sample, which generate_sample skips
-    assert sample.bin_counts == config.bin_counts and sample.w.tolist() == [1] * plan.n
-    ws.Sample(X=sample.X, Y=sample.Y, bin_counts=sample.bin_counts, w=sample.w)
-    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (sample.X, sample.Y, sample.w))
-
-
 @settings(max_examples=5)
 @given(
     configs=st.lists(st.sampled_from("ABCD"), min_size=1, max_size=2, unique=True),
@@ -506,6 +494,45 @@ def test_run_grid_records_do_not_depend_on_the_schedule(configs, sizes, rates, i
     )
     # degenerate records hold NaN, which never equals itself, so compare reprs
     assert repr(ws.run_grid(spec, workers=2)) == repr(ws.run_grid(spec))
+
+
+@settings(max_examples=10)
+@given(
+    configs=st.lists(st.sampled_from("ABCD"), min_size=1, max_size=2, unique=True),
+    sizes=st.lists(st.integers(20, 120), min_size=1, max_size=2, unique=True),
+    rates=st.lists(st.sampled_from([0.01, 0.05, 0.1, 0.3]), min_size=1, max_size=2, unique=True),
+    iterations=st.integers(1, 3),
+    theta_adj=st.sampled_from([0.5, 1e-3]),
+    fixed_events=st.none() | st.integers(1, 19),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    configs=["C"], sizes=[20, 57], rates=[0.05], iterations=2, theta_adj=1e-3, fixed_events=3, seed=11
+)
+def test_run_grid_records_equal_one_run_iteration_call_each(
+    configs, sizes, rates, iterations, theta_adj, fixed_events, seed
+):
+    # the oracle a cell engine that runs a cell's iterations together must
+    # keep: every record is the one its (config, plan, seed, iteration) gives
+    spec = ws.RunSpec(
+        configs=tuple(ws.BUILTIN_CONFIGS[c] for c in configs), sizes=tuple(sizes),
+        rates=tuple(rates), iterations=iterations, master_seed=seed,
+        theta_adj=theta_adj, fixed_events=fixed_events,
+    )
+    records = ws.run_grid(spec)
+    cells = {(r.config_id, r.n, r.event_rate) for r in records}
+    assert len(cells) == len(configs) * len(sizes) * (1 if fixed_events else len(rates))
+    assert len(records) == len(cells) * iterations
+    for record in records:
+        if fixed_events:
+            plan = ws.SamplingPlan(n=record.n, n1=fixed_events, pi1=fixed_events / record.n)
+        else:
+            plan = ws.make_plan(record.n, ws.EventRate(record.event_rate))
+        expected = ws.run_iteration(
+            ws.BUILTIN_CONFIGS[record.config_id], plan, seed, record.iteration, theta_adj=theta_adj
+        )
+        # degenerate records hold NaN, which never equals itself, so compare reprs
+        assert repr(record) == repr(expected)
 
 
 # ties, signed zeros and NaN; inf is left out, as np.quantile warns on it

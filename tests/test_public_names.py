@@ -16,8 +16,7 @@ PUBLIC_NAMES = {
     "run_iteration", "summarize",
     # errors
     "ConfigError", "DegenerateDesign", "DegeneratePlan", "EmptyCell", "EnumerationLimitError",
-    "InsufficientPoints", "NoEvents", "NoNonevents", "SchemaError", "TargetUnreachable",
-    "WoesimError",
+    "InsufficientPoints", "SchemaError", "TargetUnreachable", "WoesimError",
     # metrics
     "METRIC_F1", "METRIC_P4", "ConfusionMatrix", "confusion", "default_cutoff_grid",
     "f1", "gini", "optimize_cutoff", "p4",
@@ -34,5 +33,5 @@ def test_public_names_are_pinned():
         name for name, value in vars(ws).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 57
     assert exported == PUBLIC_NAMES

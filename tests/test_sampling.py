@@ -70,48 +70,28 @@ class TestMakePlan:
             ws.SamplingPlan(n=10, n1=0, pi1=0.01)
 
 
-class ExactVariates:
-    """A stand-in generator whose ``random(shape)`` hands out given variates."""
-
-    def __init__(self, variates):
-        self.variates = np.asarray(variates, dtype=float)
-
-    def random(self, shape):
-        return self.variates.reshape(shape)
-
-
 def one_predictor(p_event, p_nonevent=None):
     pred = ws.PredictorSpec("X1", p_event, p_event if p_nonevent is None else p_nonevent)
     return ws.ConfigSpec(id="one", predictors=(pred,))
 
 
 class TestInvertCdf:
-    """``generate_sample`` maps each variate in [0, 1) to a 1-based bin through
-    the class's cumulative bin probabilities."""
+    """The config's guide table, which ``generate_sample`` inverts its draw
+    with, maps each variate in [0, 1) to a 1-based bin through the class's
+    cumulative bin probabilities."""
 
     def test_right_open_boundary_convention(self):
-        plan = ws.SamplingPlan(n=5, n1=4, pi1=0.8)
-        gen = ExactVariates([0.4999, 0.5001, 0.5, 0.0, 0.7])
-        sample = ws.generate_sample(one_predictor((0.5, 0.5)), plan, gen)
+        u = np.array([[0.4999, 0.5001, 0.5, 0.0, 0.7]])
+        X = one_predictor((0.5, 0.5)).guide_table.invert(u, 4)
         # the bins partition [0, 1) into right-open intervals, so a variate
         # on an interior boundary falls in the bin to its right
-        assert sample.X[:4, 0].tolist() == [1, 2, 2, 1]
+        assert X[:4, 0].tolist() == [1, 2, 2, 1]
 
     def test_vectorized(self):
         # one event variate, then five nonevent variates inverted together
-        plan = ws.SamplingPlan(n=6, n1=1, pi1=1 / 6)
-        gen = ExactVariates([0.9, 0.0, 0.25, 0.499, 0.5, 0.999])
+        u = np.array([[0.9, 0.0, 0.25, 0.499, 0.5, 0.999]])
         config = one_predictor((0.2, 0.3, 0.5), (0.25, 0.25, 0.5))
-        sample = ws.generate_sample(config, plan, gen)
-        assert sample.X[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
-
-    @pytest.mark.parametrize("bad", [1.0, np.nan, -0.5, np.inf])
-    def test_variates_outside_unit_interval_refused(self, bad):
-        # 1.0 and NaN used to become bin 3 of a 2-bin predictor, -0.5 bin 1
-        plan = ws.SamplingPlan(n=3, n1=1, pi1=1 / 3)
-        gen = ExactVariates([0.2, bad, 0.7])
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            ws.generate_sample(one_predictor((0.5, 0.5)), plan, gen)
+        assert config.guide_table.invert(u, 1)[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
 
 
 class TestGuideTable:

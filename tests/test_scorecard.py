@@ -71,9 +71,9 @@ class TestEstimateWoe:
             assert sum(table.nonevent_counts[j]) == table.n_nonevent
 
     def test_single_class_rejected(self):
-        with pytest.raises(ws.NoEvents):
+        with pytest.raises(ws.DegenerateDesign, match="training sample contains no events"):
             ws.estimate_woe(build_sample([1, 2, 1], [0, 0, 0], (2,)))
-        with pytest.raises(ws.NoNonevents):
+        with pytest.raises(ws.DegenerateDesign, match="training sample contains no nonevents"):
             ws.estimate_woe(build_sample([1, 2, 1], [1, 1, 1], (2,)))
 
     @pytest.mark.parametrize("theta_adj", [math.nan, math.inf, -1.0])

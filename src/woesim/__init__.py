@@ -42,6 +42,7 @@ from .errors import (
     EnumerationLimitError,
     InsufficientPoints,
     SchemaError,
+    SpecError,
     TargetUnreachable,
     WoesimError,
 )
@@ -61,6 +62,7 @@ from .sampling import (
     Sample,
     SamplingPlan,
     compress,
+    generate_cells,
     generate_sample,
     make_plan,
 )

@@ -37,9 +37,14 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
             break
     # tick k sits at k * step, so a step below half an ulp of lo cannot
     # stall the list.  At most count + 1 multiples of step >= raw lie in
-    # [lo, hi]; the 1e-12 slack may admit one more, never more than one.
+    # [lo, hi]; the slack, far below any visible distance, may admit one
+    # more.  Each tick is rounded to one decimal past step's own (2.5 has
+    # two), and ticks that round to one float are given once.
+    digits = 1 - math.floor(math.log10(step))
+    slack = 1e-9 * step
     first = math.ceil(lo / step)
-    return [round(k * step, 10) for k in range(first, first + count + 2) if k * step <= hi + 1e-12]
+    ticks = {round(k * step, digits) for k in range(first, first + count + 2)}
+    return sorted(tick for tick in ticks if lo - slack <= tick <= hi + slack)
 
 
 def emit_chart(

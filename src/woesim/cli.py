@@ -19,6 +19,7 @@ from .errors import (
     DegeneratePlan,
     EmptyCell,
     InsufficientPoints,
+    SpecError,
     WoesimError,
 )
 from .rng import RngStream
@@ -27,8 +28,8 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_RUNTIME = 3
 
-# ConfigError and SchemaError are ValueErrors; OSError covers a path that
-# is missing, is a directory or cannot be written
+# ConfigError, SchemaError and SpecError are ValueErrors; OSError covers a
+# path that is missing, is a directory or cannot be written
 _INPUT_ERRORS = (
     DegeneratePlan,
     InsufficientPoints,
@@ -182,7 +183,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     parts = args.cell.split(":")
     if len(parts) != 3:
-        raise ValueError(f"--cell must look like CONFIG:METRIC:SPLIT, got {args.cell!r}")
+        raise SpecError(f"--cell must look like CONFIG:METRIC:SPLIT, got {args.cell!r}")
     config_id, metric, split = parts
     summary = io.load_summary_csv(args.inp)
     svg = emit_chart(summary, config_id, metric, split)

@@ -87,11 +87,12 @@ class GuideTable:
         for table in vars(self).values():
             table.flags.writeable = False
 
-    def invert(self, u: np.ndarray, n1: int) -> np.ndarray:
-        """The (n, d) int64 bins of the (d, n) variates ``u`` in [0, 1):
-        the first n1 of each predictor through its event cdf, the rest
-        through its nonevent cdf.  Bit for bit ``cdf.searchsorted(u,
-        side="right") + 1``, variates on cdf edges included."""
+    def lookup(self, u: np.ndarray, n1: int) -> np.ndarray:
+        """The (d, n) 1-based bins, in the table's unsigned dtype, of the
+        (d, n) variates ``u`` in [0, 1): the first n1 of each predictor
+        through its event cdf, the rest through its nonevent cdf.  Bit for
+        bit ``cdf.searchsorted(u, side="right") + 1``, variates on cdf
+        edges included."""
         # the cast truncates u * M, which is exact, so it is floor(u * M)
         at = np.multiply(u, _GUIDE_BUCKETS, out=np.empty(u.shape, np.int64), casting="unsafe")
         at[:, :n1] += self.event_rows
@@ -104,10 +105,11 @@ class GuideTable:
             key.real = rows
             key.imag = u.reshape(-1)[cut]
             bins.reshape(-1)[cut] = self.edges.searchsorted(key, side="right") - self.row_base[rows]
-        # the index buffer, read as (n, d), takes the result
-        X = at.reshape(at.shape[::-1])
-        X[...] = bins.T
-        return X
+        return bins
+
+    def invert(self, u: np.ndarray, n1: int) -> np.ndarray:
+        """``lookup``'s bins as an (n, d) C-ordered int64 design matrix."""
+        return np.ascontiguousarray(self.lookup(u, n1).T, dtype=np.int64)
 
 
 @dataclass(frozen=True)

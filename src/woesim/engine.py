@@ -18,14 +18,14 @@ from typing import Iterable
 import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
-from .errors import DegenerateDesign, EmptyCell
+from .errors import DegenerateDesign, EmptyCell, SpecError
 from .metrics import METRIC_F1, METRIC_P4, confusions, f1, gini, optimize_cutoffs, p4
 
 # bench/layers.py traces these under this module, so they stay importable
 # here though each split is counted through the batched forms above
 from .metrics import confusion, default_cutoff_grid, optimize_cutoff  # noqa: F401
 from .rng import RngStream, check_master_seed
-from .sampling import SamplingPlan, compress, generate_sample, make_plan
+from .sampling import SamplingPlan, generate_cells, generate_sample, make_plan
 from .scorecard import check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform
 
 #: Sample sizes the default grid sweeps.
@@ -65,24 +65,24 @@ class RunSpec:
         # EventRate refuses a rate outside (0, 1)
         object.__setattr__(self, "rates", tuple(EventRate(r).pi1 for r in self.rates))
         if not self.configs:
-            raise ValueError("RunSpec needs at least one config")
+            raise SpecError("RunSpec needs at least one config")
         if not self.sizes:
-            raise ValueError("RunSpec needs at least one sample size")
+            raise SpecError("RunSpec needs at least one sample size")
         if not self.rates:
-            raise ValueError("RunSpec needs at least one event rate")
+            raise SpecError("RunSpec needs at least one event rate")
         # a repeated config id, size or rate would run its cells twice and
         # pool them; configs sharing an id would be summarized under one AIV
         ids = tuple(config.id for config in self.configs)
         if len(set(ids)) != len(ids):
-            raise ValueError(f"config ids must be distinct, got {ids}")
+            raise SpecError(f"config ids must be distinct, got {ids}")
         if len(set(self.sizes)) != len(self.sizes):
-            raise ValueError(f"sample sizes must be distinct, got {self.sizes}")
+            raise SpecError(f"sample sizes must be distinct, got {self.sizes}")
         if len(set(self.rates)) != len(self.rates):
-            raise ValueError(f"event rates must be distinct, got {self.rates}")
+            raise SpecError(f"event rates must be distinct, got {self.rates}")
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise SpecError("iterations must be at least 1")
         if self.fixed_events is not None and self.fixed_events < 1:
-            raise ValueError("fixed_events must be at least 1 when given")
+            raise SpecError("fixed_events must be at least 1 when given")
         check_master_seed(self.master_seed)
         check_theta_adj(self.theta_adj)
 
@@ -155,9 +155,11 @@ def run_iteration(
     The training split alone fixes the WoE table and the coefficients; the
     validation split alone picks the F1 and P4 cutoffs, from one count of
     its scores; the test split is only ever scored, counted once at both
-    cutoffs and ranked once threshold-free for concordance.  Every split
-    is handled as weighted joint cells (see ``compress``), from the WoE
-    estimate on, which leaves every count the estimators see unchanged.
+    cutoffs and ranked once threshold-free for concordance.  A split
+    with at least as many rows as joint cells is drawn straight into its
+    weighted cells (``generate_cells``, bit for bit ``compress`` of the
+    drawn rows), which leaves every count the estimators see unchanged;
+    a smaller split keeps its rows.
     A record is a function of its arguments alone: its three streams are
     addressed by (master_seed, iteration, role), and its AIV is the
     config's.
@@ -170,20 +172,18 @@ def run_iteration(
         iteration=iteration,
         clamped=plan.clamped,
     )
+    draw = generate_cells if plan.n >= math.prod(config.bin_counts) else generate_sample
     try:
-        train = generate_sample(config, plan, RngStream(master_seed, iteration, "train"))
-        val = generate_sample(config, plan, RngStream(master_seed, iteration, "val"))
-        test = generate_sample(config, plan, RngStream(master_seed, iteration, "test"))
+        train = draw(config, plan, RngStream(master_seed, iteration, "train"))
+        val = draw(config, plan, RngStream(master_seed, iteration, "val"))
+        test = draw(config, plan, RngStream(master_seed, iteration, "test"))
 
-        train = compress(train)
         table = estimate_woe(train, theta_adj)
         model = fit_logistic(transform(train, table), train.Y, train.w)
 
-        val = compress(val)
         probs_val = predict_proba(model, transform(val, table))
         cut_f1, cut_p4 = optimize_cutoffs(probs_val, val.Y, (METRIC_F1, METRIC_P4), weights=val.w)
 
-        test = compress(test)
         probs_test = predict_proba(model, transform(test, table))
         cm_f1, cm_p4 = confusions(probs_test, test.Y, (cut_f1.theta, cut_p4.theta), test.w)
         return IterationRecord(
@@ -239,7 +239,7 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     iteration, role).
     """
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise SpecError(f"workers must be at least 1, got {workers}")
     tasks = [(spec, config, plan) for config, plan in _plans_for(spec)]
     # a process pool may start every worker at its first submit, so never
     # ask for more workers than there are cells; one cell runs serially

@@ -9,6 +9,11 @@ class ConfigError(WoesimError, ValueError):
     """A configuration violates its invariants (probabilities, names, shapes)."""
 
 
+class SpecError(WoesimError, ValueError):
+    """A run specification or command-line selector is refused (sizes,
+    rates, iterations, seed, theta_adj, worker count, a chart's cell)."""
+
+
 class SchemaError(WoesimError, ValueError):
     """An input file does not conform to the expected schema."""
 

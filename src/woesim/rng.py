@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecError
+
 _MASK64 = (1 << 64) - 1
 
 # Fixed tags; changing them would silently reseed every recorded run.
@@ -15,7 +17,7 @@ ROLE_TAGS = {"train": 1, "val": 2, "test": 3, "synth": 4}
 def check_master_seed(master_seed: int) -> None:
     """Refuse a master seed outside [0, 2**64), which masking would alias."""
     if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
+        raise SpecError(f"master seed must lie in [0, 2**64), got {master_seed}")
 
 
 def splitmix64(z: int) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +64,9 @@ class Sample:
     stands for the rows behind it.  Everything is checked here, once:
     bin indices and weights of any dtype but an integer one, bin indices
     outside their range (``IndexError`` naming the predictor) and labels
-    other than 0 and 1 are refused.  The samples ``generate_sample`` draws
-    and ``compress`` reduces are valid by construction and skip the checks.
+    other than 0 and 1 are refused.  The samples ``generate_sample`` and
+    ``generate_cells`` draw and ``compress`` reduces are valid by
+    construction and skip the checks.
 
     Event rows come first by construction; every downstream estimator is
     invariant under row permutation, so the fixed order is purely for
@@ -152,6 +155,31 @@ def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> S
     return Sample._built_valid(X, Y, config.bin_counts, np.ones(n, dtype=np.int64))
 
 
+def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sample:
+    """Draw a sample straight into its weighted joint cells: bit for bit
+    ``compress(generate_sample(config, plan, rng))``, without the rows.
+
+    It makes ``generate_sample``'s one draw and guide-table lookup, codes
+    each variate's bins as its joint cell and counts each class's cells,
+    the events being the first n1 columns.  It needs at least as many
+    rows as cells, K = prod(bin_counts) <= n, as ``compress`` does to
+    reduce; a smaller sample is every row its own cell, which
+    ``generate_sample`` draws.
+    """
+    n, n1 = plan.n, plan.n1
+    n_cells = math.prod(config.bin_counts)
+    if n_cells > n:
+        raise ValueError(f"cells need n >= K = {n_cells} rows, got n={n}")
+    space = _cell_space(config.bin_counts)
+    u = rng.generator().random((config.n_predictors, n))
+    code = space.radix @ config.guide_table.lookup(u, n1) - space.offset
+    counts = np.concatenate([
+        np.bincount(code[:n1], minlength=n_cells),
+        np.bincount(code[n1:], minlength=n_cells),
+    ])
+    return _cells_from_counts(counts, space)
+
+
 def compress(sample: Sample) -> Sample:
     """Reduce a sample to one weighted row per observed (joint cell, class).
 
@@ -164,16 +192,44 @@ def compress(sample: Sample) -> Sample:
     compressed sample compresses to itself.  When K > n reducing cannot
     pay, and the sample itself comes back.
     """
-    bin_counts = sample.bin_counts
-    n_cells = math.prod(bin_counts)
+    n_cells = math.prod(sample.bin_counts)
     if n_cells > sample.n:
         return sample
-    # K <= n keeps the mixed-radix code far inside int64
-    code = np.ravel_multi_index(tuple(sample.X.T - 1), bin_counts)
-    # slot = cell for events, K + cell for nonevents
-    counts = _class_counts(code, n_cells, sample.Y, sample.w).ravel()
+    space = _cell_space(sample.bin_counts)
+    code = sample.X @ space.radix - space.offset
+    return _cells_from_counts(_class_counts(code, n_cells, sample.Y, sample.w).ravel(), space)
+
+
+class _CellSpace(NamedTuple):
+    """A bin space's place values ``radix``, their sum ``offset`` and its
+    (K, d) table ``cells`` of every joint cell's 1-based bins, in code
+    order: a row of bins x lies in the C-order joint cell ``radix @ x -
+    offset``."""
+
+    bin_counts: tuple[int, ...]
+    radix: np.ndarray
+    offset: int
+    cells: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _cell_space(bin_counts: tuple[int, ...]) -> _CellSpace:
+    # asked for only by a sample of K <= n rows, which pays for the table
+    # and keeps every code far inside int64
+    radix = np.cumprod((1,) + bin_counts[:0:-1])[::-1]
+    cells = np.indices(bin_counts).reshape(len(bin_counts), -1).T + 1
+    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    radix.flags.writeable = cells.flags.writeable = False
+    return _CellSpace(bin_counts, radix, int(radix.sum()), cells)
+
+
+def _cells_from_counts(counts: np.ndarray, space: _CellSpace) -> Sample:
+    """The weighted sample of the int64 totals ``counts``: slot c holds
+    joint cell c's event total and slot K + c its nonevent total.  One
+    row per positive slot, in slot order, weighing that total."""
+    n_cells = space.cells.shape[0]
     slots = np.flatnonzero(counts)
-    X = np.column_stack(np.unravel_index(slots % n_cells, bin_counts)) + 1
+    X = space.cells.take(slots % n_cells, axis=0)
     # a valid sample's observed cells, their classes and positive totals
     Y = (slots < n_cells).astype(np.int64)
-    return Sample._built_valid(X, Y, bin_counts, counts[slots])
+    return Sample._built_valid(X, Y, space.bin_counts, counts[slots])

@@ -9,7 +9,7 @@ from itertools import chain
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegenerateDesign
+from .errors import DegenerateDesign, SpecError
 from .metrics import _check_labels, _check_weights, _class_counts
 from .sampling import Sample
 
@@ -87,7 +87,7 @@ def check_theta_adj(theta_adj: float) -> None:
     """Refuse a WoE adjustment that is not finite and nonnegative."""
     # written so that a NaN, which compares false both ways, fails the test
     if not 0.0 <= theta_adj < np.inf:
-        raise ValueError(f"theta_adj must be finite and nonnegative, got {theta_adj}")
+        raise SpecError(f"theta_adj must be finite and nonnegative, got {theta_adj}")
 
 
 def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:

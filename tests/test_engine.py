@@ -42,6 +42,20 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             small_spec(fixed_events=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(configs=()), dict(sizes=()), dict(rates=()), dict(sizes=(60, 60)),
+            dict(iterations=0), dict(fixed_events=0), dict(master_seed=-1), dict(theta_adj=-1.0),
+        ],
+        ids=repr,
+    )
+    def test_refusals_are_spec_errors(self, bad):
+        # a package error that is also a ValueError, so the CLI still exits 2
+        with pytest.raises(ws.SpecError):
+            small_spec(**bad)
+        assert issubclass(ws.SpecError, ws.WoesimError) and issubclass(ws.SpecError, ValueError)
+
     def test_duplicate_sizes_refused(self):
         # (60, 60) used to run the n=60 cells twice and summarise n_iter=2x
         with pytest.raises(ValueError, match="sizes must be distinct"):
@@ -110,6 +124,20 @@ class TestRunIteration:
         with pytest.raises(TypeError):
             ws.run_iteration(ws.CONFIG_B, plan, 1, 0, aiv=1.0)
 
+    @pytest.mark.parametrize("n", [191, 192])
+    def test_rows_are_drawn_only_below_one_row_per_cell(self, monkeypatch, n):
+        # config B has K = 192 joint cells: from n = K on, each split is
+        # drawn straight into its weighted cells and no rows are built
+        drawn = []
+
+        def rows(*args):
+            drawn.append(args)
+            return ws.generate_sample(*args)
+
+        monkeypatch.setattr(engine, "generate_sample", rows)
+        assert ws.run_iteration(ws.CONFIG_B, ws.make_plan(n, ws.EventRate(0.1)), 3, 0).valid
+        assert len(drawn) == (3 if n < 192 else 0)
+
     def test_estimator_failure_becomes_flagged_record(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ws.DegenerateDesign("forced")
@@ -154,6 +182,10 @@ class TestRunGrid:
     def test_serial_equals_parallel(self):
         spec = small_spec(sizes=(60, 100), rates=(0.05, 0.10), iterations=5)
         assert ws.run_grid(spec, workers=1) == ws.run_grid(spec, workers=3)
+
+    def test_zero_workers_is_a_spec_error(self):
+        with pytest.raises(ws.SpecError, match="workers must be at least 1"):
+            ws.run_grid(small_spec(), workers=0)
 
     def test_workers_capped_at_cell_count(self, monkeypatch):
         # a pool may start all its workers at the first submit, so --workers 5000

@@ -13,6 +13,7 @@ import pytest
 
 import woesim as ws
 from woesim import cli, io
+from woesim.charts import _nice_ticks
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -171,6 +172,19 @@ class TestCharts:
         summary = ws.summarize(tiny_records())
         with pytest.raises(ws.EmptyCell):
             ws.emit_chart(summary, "Z", "f1", "test")
+
+    @pytest.mark.parametrize(
+        ("lo", "hi"),
+        [(0.0, 0.7), (0.5, float(np.nextafter(0.5, 1.0))), (0.0, 1e-320), (0.1, 0.1 + 3e-11)],
+    )
+    def test_ticks_are_distinct_and_inside_their_span(self, lo, hi):
+        # rounded to 10 decimals, the ticks of the three narrow spans used
+        # to collapse onto seven 0.5s, seven 0.0s and three 0.1s
+        ticks = _nice_ticks(lo, hi)
+        assert ticks and ticks == sorted(set(ticks))
+        assert lo <= ticks[0] and ticks[-1] <= hi
+        if (lo, hi) == (0.0, 0.7):
+            assert ticks == [0, 0.2, 0.4, 0.6]
 
 
 def synthetic_summary_rows():
@@ -474,7 +488,7 @@ class TestCli:
         rows, _ = synthetic_summary_rows()
         summary = tmp_path / "summary.csv"
         io.save_summary_csv(rows, summary)
-        assert cli.main([
-            "report", "--in", str(summary), "--cell", "B-f1-test",
-            "--out", str(tmp_path / "c.svg"),
-        ]) == 2
+        argv = ["report", "--in", str(summary), "--cell", "B-f1-test", "--out", str(tmp_path / "c.svg")]
+        assert cli.main(argv) == 2
+        with pytest.raises(ws.SpecError, match="--cell must look like"):
+            cli._COMMANDS["report"](cli._build_parser().parse_args(argv))

@@ -1,9 +1,10 @@
 """Property tests.
 
 A weighted row counts exactly as that many replicated rows: the engine
-reduces every split to a ``Sample`` of weighted joint cells (``compress``,
-which keeps any input weights and leaves its own output as it is) and
-hands its weights to the WoE estimate, the fit and the metrics, so each of
+takes every split of at least as many rows as joint cells as a ``Sample``
+of weighted cells (``generate_cells``, the ``compress``ed drawn rows;
+``compress`` keeps any input weights and leaves its own output as it is)
+and hands its weights to the WoE estimate, the fit and the metrics, so each of
 them must agree with the unweighted call on the rows the weights stand
 for.  The fit's Newton step solves as ``np.linalg.solve`` does and falls
 back to least squares exactly where that raises.  The results and
@@ -14,7 +15,8 @@ documented order, the grid's records do not depend on the schedule,
 each of them is the one ``run_iteration`` gives at its address, and each
 summary quantile is the one ``np.quantile`` gives on its field alone.
 The sampler's guide-table lookup gives the bins a per-(predictor, class)
-``searchsorted`` gives, on cdf and bucket edges too, and the batched
+``searchsorted`` gives, on cdf and bucket edges too, a split drawn
+straight into cells is the compressed split of drawn rows, and the batched
 cutoff search and confusion count give what one call per metric or
 cutoff gives.
 """
@@ -24,6 +26,7 @@ import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -477,6 +480,57 @@ def reference_bins(predictors, u, n1):
 def test_guide_table_equals_searchsorted_per_predictor_and_class(data):
     predictors, u, n1 = data
     assert np.array_equal(GuideTable(predictors).invert(u, n1), reference_bins(predictors, u, n1))
+
+
+@st.composite
+def cell_draws(draw):
+    """A config with K <= n joint cells, a plan of n rows at a rate or at a
+    fixed event count, and a stream address.  The config is hand-built
+    over 1-3 predictors of 2-5 bins (tiny bins put cdf edges inside guide
+    buckets), synthesized, or a built-in one."""
+    kind = draw(st.sampled_from(["hand-built", "synthesized", "built-in"]))
+    if kind == "hand-built":
+        predictors = tuple(
+            ws.PredictorSpec(f"X{j}", draw(bin_dist(b)), draw(bin_dist(b)))
+            for j, b in enumerate(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+        )
+        config = ws.ConfigSpec(id="cells", predictors=predictors)
+    elif kind == "synthesized":
+        bins = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        config = ws.synthesize_config(
+            d=len(bins), bins=bins, target_aiv=draw(st.sampled_from([0.2, 1.0, 3.0])), tol=0.05,
+            rng=ws.RngStream(draw(st.integers(0, 50))),
+        )
+    else:
+        config = ws.BUILTIN_CONFIGS[draw(st.sampled_from("ABCD"))]
+    n = math.prod(config.bin_counts) + draw(st.integers(0, 400))
+    if draw(st.booleans()):
+        plan = ws.make_plan(n, ws.EventRate(draw(st.floats(0.001, 0.5))))
+    else:
+        n1 = draw(st.integers(1, n - 1))
+        plan = ws.SamplingPlan(n=n, n1=n1, pi1=n1 / n)
+    stream = ws.RngStream(
+        draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**20)),
+        draw(st.sampled_from(["train", "val", "test"])),
+    )
+    return config, plan, stream
+
+
+@settings(max_examples=150)
+@given(cell_draws())
+def test_generate_cells_equals_compressed_drawn_rows(data):
+    config, plan, stream = data
+    generator = ws.RngStream.generator
+    with mock.patch.object(ws.RngStream, "generator", autospec=True, side_effect=generator) as calls:
+        cells = ws.generate_cells(config, plan, stream)
+    assert calls.call_count == 1
+    rows = ws.compress(ws.generate_sample(config, plan, stream))
+    assert cells.bin_counts == rows.bin_counts == config.bin_counts
+    for name in ("X", "Y", "w"):
+        got, want = getattr(cells, name), getattr(rows, name)
+        assert same_bytes(got, want)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert not got.flags.writeable and not want.flags.writeable
 
 
 @settings(max_examples=5)

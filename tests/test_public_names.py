@@ -16,12 +16,13 @@ PUBLIC_NAMES = {
     "run_iteration", "summarize",
     # errors
     "ConfigError", "DegenerateDesign", "DegeneratePlan", "EmptyCell", "EnumerationLimitError",
-    "InsufficientPoints", "SchemaError", "TargetUnreachable", "WoesimError",
+    "InsufficientPoints", "SchemaError", "SpecError", "TargetUnreachable", "WoesimError",
     # metrics
     "METRIC_F1", "METRIC_P4", "ConfusionMatrix", "confusion", "default_cutoff_grid",
     "f1", "gini", "optimize_cutoff", "p4",
     # rng and sampling
-    "RngStream", "Sample", "SamplingPlan", "compress", "generate_sample", "make_plan",
+    "RngStream", "Sample", "SamplingPlan", "compress", "generate_cells", "generate_sample",
+    "make_plan",
     # scorecard
     "FittedModel", "WoeTable", "adjusted_woe", "estimate_woe", "fit_logistic",
     "predict_proba", "transform",
@@ -33,5 +34,5 @@ def test_public_names_are_pinned():
         name for name, value in vars(ws).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 59
     assert exported == PUBLIC_NAMES

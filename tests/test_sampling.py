@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import woesim as ws
+from woesim import sampling
 from woesim.rng import ROLE_TAGS, splitmix64, substream_seed
 
 
@@ -243,3 +244,19 @@ class TestGenerateSample:
         sample = ws.generate_sample(ws.CONFIG_A, plan, ws.RngStream(1, 0, "train"))
         with pytest.raises(ValueError):
             sample.X[0, 0] = 2
+
+
+class TestGenerateCells:
+    def test_needs_a_row_per_cell(self):
+        # config B has K = 192 joint cells; a smaller split is its rows
+        plan = ws.make_plan(191, ws.EventRate(0.1))
+        with pytest.raises(ValueError, match="n >= K = 192"):
+            ws.generate_cells(ws.CONFIG_B, plan, ws.RngStream(1, 0, "train"))
+
+    def test_no_cell_table_below_one_row_per_cell(self):
+        # the (K, d) table is built for a bin space only once a split of
+        # it reduces, never for a large space such as a d=6 config's
+        before = sampling._cell_space.cache_info()
+        ws.run_iteration(ws.CONFIG_B, ws.make_plan(150, ws.EventRate(0.1)), 1, 0)
+        after = sampling._cell_space.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)

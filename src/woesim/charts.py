@@ -47,6 +47,25 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return sorted(tick for tick in ticks if lo - slack <= tick <= hi + slack)
 
 
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` escaped.
+
+    ``xml.sax.saxutils.escape`` does the same, but importing it loads
+    ``urllib.request`` and ``ssl``, several MiB for three replacements.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Labels for distinct ticks at the fewest significant digits, 6 or
+    more, that tell them all apart; 17 digits tell any two doubles apart."""
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def emit_chart(
     summaries: Sequence[SummaryRecord],
     config_id: str,
@@ -101,7 +120,7 @@ def emit_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14">'
-        f"config {config_id}: {metric} ({split} split)</text>",
+        f"config {_escape(config_id)}: {_escape(metric)} ({_escape(split)} split)</text>",
     ]
 
     axis_y = _HEIGHT - _MARGIN_B
@@ -120,12 +139,13 @@ def emit_chart(
             f'<text x="{x:.1f}" y="{axis_y + 18}" font-family="sans-serif" font-size="10" '
             f'text-anchor="middle">{n}</text>'
         )
-    for tick in _nice_ticks(y_lo, y_hi):
+    ticks = _nice_ticks(y_lo, y_hi)
+    for tick, label in zip(ticks, _tick_labels(ticks)):
         y = py(tick)
         parts.append(f'<line x1="{_MARGIN_L - 4}" y1="{y:.1f}" x2="{_MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{y + 3:.1f}" font-family="sans-serif" font-size="10" '
-            f'text-anchor="end">{tick:g}</text>'
+            f'text-anchor="end">{label}</text>'
         )
     parts.append(
         f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 12}" '

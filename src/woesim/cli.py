@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     # refused before the grid runs, not once its records are ready to write
     if out.is_dir() or not out.parent.is_dir():
-        raise ValueError(f"--out {args.out!r} must name a file in an existing directory")
+        raise SpecError(f"--out {args.out!r} must name a file in an existing directory")
     records = run_grid(spec, workers=args.workers)
     io.save_results_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

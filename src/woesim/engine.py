@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Iterable
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -87,13 +87,12 @@ class RunSpec:
         check_theta_adj(self.theta_adj)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Metric bundle produced by one Monte Carlo iteration.
 
     A degenerate iteration (an estimator refused its input) is kept as a
     record with NaN metric fields so that summaries can exclude it and
-    still account for it.
+    still account for it.  A record is the tuple of its results-CSV row.
     """
 
     config_id: str
@@ -120,9 +119,9 @@ class IterationRecord:
         return (self.config_id, self.n, self.event_rate, self.iteration)
 
 
-@dataclass(frozen=True)
-class SummaryRecord:
-    """Quantile summary of one metric/split within one grid cell."""
+class SummaryRecord(NamedTuple):
+    """Quantile summary of one metric/split within one grid cell, as the
+    tuple of its summary-CSV row."""
 
     config_id: str
     aiv: float
@@ -200,7 +199,7 @@ def run_iteration(
         )
     except DegenerateDesign:
         base["converged"] = False
-        metrics = {f.name: math.nan for f in fields(IterationRecord) if f.name not in base}
+        metrics = {name: math.nan for name in IterationRecord._fields if name not in base}
         return IterationRecord(**base, **metrics)
 
 
@@ -259,10 +258,12 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     return records
 
 
-#: The record attribute behind each ``SUMMARY_FIELDS`` row.
-_SUMMARY_VALUES = attrgetter(
-    *(metric if metric.startswith("theta") else f"{metric}_{split}" for metric, split in SUMMARY_FIELDS)
-)
+#: The record items behind the ``SUMMARY_FIELDS`` rows, in their order.
+_SUMMARY_VALUES = itemgetter(*(
+    IterationRecord._fields.index(metric if metric.startswith("theta") else f"{metric}_{split}")
+    for metric, split in SUMMARY_FIELDS
+))
+_QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 
 
 def summarize(records: Iterable[IterationRecord]) -> list[SummaryRecord]:
@@ -276,35 +277,30 @@ def summarize(records: Iterable[IterationRecord]) -> list[SummaryRecord]:
     for rec in records:
         by_cell.setdefault((rec.config_id, rec.n, rec.event_rate), []).append(rec)
 
-    out: list[SummaryRecord] = []
-    for (config_id, n, rate), cell in sorted(by_cell.items()):
+    # cells with the same number of valid records share one (cells,
+    # n_valid, 8) stack and one quantile call; each field of each cell is
+    # reduced on its own, so every cell gets the bits a call of its own
+    # would give
+    by_count: dict[int, list[tuple[tuple, list[IterationRecord]]]] = {}
+    for (config_id, n, rate), cell in by_cell.items():
         valid = [r for r in cell if r.valid]
         if not valid:
             raise EmptyCell(
                 f"cell ({config_id!r}, n={n}, rate={rate}) has no valid records"
             )
-        n_nonconverged = sum(1 for r in valid if not r.converged)
-        # one (8, n_valid) array, one quantile call: each row is reduced on
-        # its own, exactly as a call per field would
-        values = np.array([_SUMMARY_VALUES(r) for r in valid], dtype=float).T
-        quantiles = np.quantile(values, (0.05, 0.25, 0.50, 0.75, 0.95), axis=1).T.tolist()
-        for (metric, split), (p05, q25, median, q75, p95) in zip(SUMMARY_FIELDS, quantiles):
-            out.append(
-                SummaryRecord(
-                    config_id=config_id,
-                    aiv=valid[0].aiv,
-                    n=n,
-                    event_rate=rate,
-                    metric=metric,
-                    split=split,
-                    median=median,
-                    q25=q25,
-                    q75=q75,
-                    p05=p05,
-                    p95=p95,
-                    n_iter=len(valid),
-                    n_nonconverged=n_nonconverged,
-                )
-            )
+        by_count.setdefault(len(valid), []).append(((config_id, n, rate), valid))
+
+    out: list[SummaryRecord] = []
+    for n_valid, cells in by_count.items():
+        values = np.array([list(map(_SUMMARY_VALUES, valid)) for _, valid in cells], dtype=float)
+        quantiles = np.quantile(values, _QUANTILES, axis=1).transpose(1, 2, 0).tolist()
+        for ((config_id, n, rate), valid), cell_quantiles in zip(cells, quantiles):
+            aiv = valid[0].aiv
+            n_nonconverged = sum(1 for r in valid if not r.converged)
+            for (metric, split), (p05, q25, median, q75, p95) in zip(SUMMARY_FIELDS, cell_quantiles):
+                out.append(SummaryRecord(
+                    config_id, aiv, n, rate, metric, split,
+                    median, q25, q75, p05, p95, n_valid, n_nonconverged,
+                ))
     out.sort(key=SummaryRecord.sort_key)
     return out

@@ -7,12 +7,10 @@ back to the identical double, so save/load round-trips are lossless.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from itertools import islice
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 from .configs import BUILTIN_CONFIGS, ConfigSpec, PredictorSpec
 from .curve import GuidelineTable
@@ -119,22 +117,26 @@ def _parse_bool(text: str) -> bool:
     raise SchemaError(f"expected 'true' or 'false', got {text!r}")
 
 
-#: (formatter, parser) per record field type; the types are the annotation
-#: strings that ``from __future__ import annotations`` leaves in
-#: ``dataclasses.fields``.  ``repr`` is the shortest string that parses back
-#: to the same double (``nan``, ``inf`` and ``-0.0`` included).
+#: (formatter, parser) per record field type.  ``repr`` is the shortest
+#: string that parses back to the same double (``nan``, ``inf`` and ``-0.0``
+#: included).
 _CODECS = {
-    "str": (str, str),
-    "int": (str, int),
-    "float": (repr, float),
-    "bool": (_fmt_bool, _parse_bool),
+    str: (str, str),
+    int: (str, int),
+    float: (repr, float),
+    bool: (_fmt_bool, _parse_bool),
 }
 
 
 def _columns(cls) -> tuple[list[str], list[tuple]]:
-    """A record dataclass's CSV header (its field names, in order) and codecs."""
-    fields = dataclasses.fields(cls)
-    return [f.name for f in fields], [_CODECS[f.type] for f in fields]
+    """A record type's CSV header (its field names, in order) and codecs.
+
+    ``from __future__ import annotations`` leaves the field annotations as
+    strings, which ``NamedTuple`` holds as forward references;
+    ``get_type_hints`` resolves them to the types.
+    """
+    types = get_type_hints(cls)
+    return list(cls._fields), [_CODECS[types[name]] for name in cls._fields]
 
 
 # built at import, so a field type without a codec fails here, not on a write
@@ -146,11 +148,12 @@ _CHUNK_ROWS = 64
 
 def _save_records(cls, records: Iterable, path) -> None:
     header, codecs = _COLUMNS[cls]
-    values = map(attrgetter(*header), records)
+    # a record is the tuple of its row
+    rows = iter(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        while chunk := list(islice(values, _CHUNK_ROWS)):
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
             columns = [map(fmt, column) for (fmt, _), column in zip(codecs, zip(*chunk))]
             writer.writerows(zip(*columns))
 
@@ -171,7 +174,7 @@ def _load_records(cls, path) -> list:
                     )
             columns = [map(parse, column) for (_, parse), column in zip(codecs, zip(*rows))]
             try:
-                records.extend(cls(*values) for values in zip(*columns))
+                records.extend(map(cls._make, zip(*columns)))
             except ValueError as exc:
                 raise _bad_cell(path, header, codecs, exc) from None
     return records

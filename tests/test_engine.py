@@ -283,8 +283,6 @@ class TestSummarize:
 
     def test_nonconverged_counted(self):
         records = ws.run_grid(small_spec(iterations=2))
-        flipped = [
-            ws.IterationRecord(**{**r.__dict__, "converged": False}) for r in records
-        ]
+        flipped = [r._replace(converged=False) for r in records]
         summary = ws.summarize(flipped)
         assert all(r.n_nonconverged == 2 for r in summary)

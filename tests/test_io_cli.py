@@ -1,11 +1,12 @@
 """File formats, chart emission, and the command-line interface."""
 
 import csv
-import dataclasses
 import json
 import math
+import pickle
 import re
 import signal
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import woesim as ws
 from woesim import cli, io
-from woesim.charts import _nice_ticks
+from woesim.charts import _nice_ticks, _tick_labels
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -110,7 +111,7 @@ class TestResultsCsv:
     def test_malformed_cell_after_multiline_id_names_its_line(self, tmp_path):
         # rows past the first chunk, the first with an id spanning two lines
         records = tiny_records() * 6
-        records[0] = dataclasses.replace(records[0], config_id="two\nlines")
+        records[0] = records[0]._replace(config_id="two\nlines")
         path = tmp_path / "results.csv"
         io.save_results_csv(records, path)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -143,6 +144,36 @@ class TestSummaryCsv:
             "config_id,aiv,n,event_rate,metric,split,"
             "median,q25,q75,p05,p95,n_iter,n_nonconverged"
         )
+
+
+@pytest.mark.parametrize(
+    "cls, save, load, make_records",
+    [
+        (ws.IterationRecord, io.save_results_csv, io.load_results_csv, tiny_records),
+        (ws.SummaryRecord, io.save_summary_csv, io.load_summary_csv, lambda: ws.summarize(tiny_records())),
+    ],
+    ids=["results", "summary"],
+)
+def test_a_record_is_one_value_however_it_is_built(tmp_path, cls, save, load, make_records):
+    # records are the tuples of their CSV rows: built from a tuple, loaded
+    # from a file or built by keyword, they are one value, and frozen
+    records = make_records()
+    path = tmp_path / "records.csv"
+    save(records, path)
+    built = {
+        "made": [cls._make(tuple(r)) for r in records],
+        "loaded": load(path),
+        "keyword": [cls(**r._asdict()) for r in records],
+    }
+    for kind, others in built.items():
+        assert others == records, kind
+        assert [type(r) for r in others] == [cls] * len(records), kind
+        assert list(map(hash, others)) == list(map(hash, records)), kind
+        assert pickle.loads(pickle.dumps(others)) == records, kind
+    record = records[0]
+    assert record == tuple(record)
+    with pytest.raises(AttributeError):
+        record.n = 1
 
 
 def test_readme_file_formats_match_written_headers(tmp_path):
@@ -179,12 +210,24 @@ class TestCharts:
     )
     def test_ticks_are_distinct_and_inside_their_span(self, lo, hi):
         # rounded to 10 decimals, the ticks of the three narrow spans used
-        # to collapse onto seven 0.5s, seven 0.0s and three 0.1s
+        # to collapse onto seven 0.5s, seven 0.0s and three 0.1s; at 6
+        # significant digits the 0.1 ticks were all labelled "0.1"
         ticks = _nice_ticks(lo, hi)
         assert ticks and ticks == sorted(set(ticks))
         assert lo <= ticks[0] and ticks[-1] <= hi
+        labels = _tick_labels(ticks)
+        assert len(set(labels)) == len(ticks)
+        assert [float(label) for label in labels] == pytest.approx(ticks, rel=1e-5)
         if (lo, hi) == (0.0, 0.7):
             assert ticks == [0, 0.2, 0.4, 0.6]
+            assert labels == ["0", "0.2", "0.4", "0.6"]
+
+    def test_chart_of_a_config_id_with_markup_is_well_formed(self):
+        # the id went into the SVG unescaped, which no XML parser accepts
+        rows = [r._replace(config_id="A&<B>") for r in ws.summarize(tiny_records())]
+        svg = ws.emit_chart(rows, "A&<B>", "f1", "test")
+        title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
+        assert title.text == "config A&<B>: f1 (test split)"
 
 
 def synthetic_summary_rows():
@@ -420,6 +463,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("out", ["", "no/r.csv"], ids=["run-dir", "run-missing-dir"])
+    def test_unusable_run_out_is_a_spec_error(self, tmp_path, monkeypatch, out):
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        argv = ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", str(tmp_path / out)]
+        with pytest.raises(ws.SpecError, match="--out"):
+            cli._COMMANDS["run"](cli._build_parser().parse_args(argv))
 
     def test_out_of_memory_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
         # a size like 10**11 used to end in numpy's _ArrayMemoryError traceback

@@ -21,9 +21,9 @@ cutoff search and confusion count give what one call per metric or
 cutoff gives.
 """
 
-import dataclasses
 import math
 import tempfile
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -310,20 +310,20 @@ _ANY_FLOAT = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
 )
 _STRATEGY_BY_TYPE = {
-    "str": _AWKWARD_TEXT,
-    "int": st.integers(-(2**63), 2**63),
-    "float": _ANY_FLOAT,
-    "bool": st.booleans(),
+    str: _AWKWARD_TEXT,
+    int: st.integers(-(2**63), 2**63),
+    float: _ANY_FLOAT,
+    bool: st.booleans(),
 }
 
 
 def _records_of(cls):
-    fields = {f.name: _STRATEGY_BY_TYPE[f.type] for f in dataclasses.fields(cls)}
+    fields = {name: _STRATEGY_BY_TYPE[kind] for name, kind in typing.get_type_hints(cls).items()}
     return st.lists(st.builds(cls, **fields), max_size=5)
 
 
 def _field_reprs(records):
-    return [[repr(getattr(r, f.name)) for f in dataclasses.fields(r)] for r in records]
+    return [[repr(getattr(r, name)) for name in r._fields] for r in records]
 
 
 @pytest.mark.parametrize(
@@ -594,7 +594,7 @@ _SUMMARY_VALUE = st.one_of(
     st.sampled_from([0.0, -0.0, 0.25, 1.0, math.nan]),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
-_METRIC_FIELDS = [f.name for f in dataclasses.fields(ws.IterationRecord)][7:]
+_METRIC_FIELDS = list(ws.IterationRecord._fields[7:])
 
 
 @st.composite
@@ -637,3 +637,59 @@ def test_summary_quantiles_equal_one_quantile_call_per_field(records):
         for r in ws.summarize(records)
     ]
     assert summary == expected
+
+
+# every value a metric field can hold once a CSV is loaded
+_ANY_SUMMARY_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_CELL_AIV = {"A": 0.4, "B": 1.5}
+
+
+@st.composite
+def summary_grids(draw):
+    """Records of up to six cells with 1-4 or 20-23 valid and 0-3 degenerate
+    records each, so cells often share a valid count and as often do not."""
+    cell = st.tuples(st.sampled_from("AB"), st.sampled_from([50, 100]), st.sampled_from([0.01, 0.05]))
+    records = []
+    for config_id, n, rate in draw(st.lists(cell, min_size=1, max_size=6, unique=True)):
+        n_valid = draw(st.one_of(st.integers(1, 4), st.integers(20, 23)))
+        n_degenerate = draw(st.integers(0, 3))
+        for i in range(n_valid + n_degenerate):
+            flagged = i >= n_valid
+            row = {name: math.nan if flagged else draw(_ANY_SUMMARY_VALUE) for name in _METRIC_FIELDS}
+            if not flagged:
+                row["f1_val"] = draw(_ANY_SUMMARY_VALUE.filter(lambda v: not math.isnan(v)))
+            records.append(ws.IterationRecord(
+                config_id=config_id, aiv=_CELL_AIV[config_id], n=n, event_rate=rate, iteration=i,
+                clamped=False, converged=not flagged and draw(st.booleans()), **row,
+            ))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=80)
+@given(summary_grids())
+def test_summary_equals_a_quantile_call_per_cell_and_field(records):
+    # summarize stacks the cells that share a valid count into one call;
+    # the reference reduces each field of each cell on its own.  inf - inf
+    # between two order statistics is NaN, and numpy warns of it
+    def cell_of(r):
+        return (r.config_id, r.n, r.event_rate)
+
+    expected = []
+    with np.errstate(invalid="ignore"):
+        for config_id, n, rate in sorted(set(map(cell_of, records))):
+            valid = [r for r in records if cell_of(r) == (config_id, n, rate) and r.valid]
+            for metric, split in engine.SUMMARY_FIELDS:
+                field = metric if metric.startswith("theta") else f"{metric}_{split}"
+                values = np.asarray([getattr(r, field) for r in valid])
+                p05, q25, median, q75, p95 = np.quantile(values, (0.05, 0.25, 0.50, 0.75, 0.95)).tolist()
+                expected.append(ws.SummaryRecord(
+                    config_id, _CELL_AIV[config_id], n, rate, metric, split, median, q25, q75, p05, p95,
+                    len(valid), sum(not r.converged for r in valid),
+                ))
+        summary = ws.summarize(records)
+    expected.sort(key=ws.SummaryRecord.sort_key)
+    # NaN never equals itself and -0.0 equals 0.0, so compare reprs
+    assert list(map(repr, summary)) == list(map(repr, expected))

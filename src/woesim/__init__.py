@@ -61,7 +61,6 @@ from .rng import RngStream
 from .sampling import (
     Sample,
     SamplingPlan,
-    compress,
     generate_cells,
     generate_sample,
     make_plan,

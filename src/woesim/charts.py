@@ -18,6 +18,9 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 150, 36, 52
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+#: The number of steps ``_nice_ticks`` aims to split a span into.
+_TICK_STEPS = 5
+
 
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
     if hi == lo:
@@ -25,10 +28,10 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / _TICK_STEPS
     mag = 10 ** math.floor(math.log10(raw))
     step = 10 * mag
     for mult in (1, 2, 2.5, 5, 10):
@@ -36,14 +39,14 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
             step = mult * mag
             break
     # tick k sits at k * step, so a step below half an ulp of lo cannot
-    # stall the list.  At most count + 1 multiples of step >= raw lie in
-    # [lo, hi]; the slack, far below any visible distance, may admit one
-    # more.  Each tick is rounded to one decimal past step's own (2.5 has
-    # two), and ticks that round to one float are given once.
+    # stall the list.  At most _TICK_STEPS + 1 multiples of step >= raw
+    # lie in [lo, hi]; the slack, far below any visible distance, may admit
+    # one more.  Each tick is rounded to one decimal past step's own (2.5
+    # has two), and ticks that round to one float are given once.
     digits = 1 - math.floor(math.log10(step))
     slack = 1e-9 * step
     first = math.ceil(lo / step)
-    ticks = {round(k * step, digits) for k in range(first, first + count + 2)}
+    ticks = {round(k * step, digits) for k in range(first, first + _TICK_STEPS + 2)}
     return sorted(tick for tick in ticks if lo - slack <= tick <= hi + slack)
 
 

@@ -110,7 +110,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     configs = tuple(io.resolve_config(spec) for spec in args.config)
-    sizes = STUDY_SIZES if args.sizes == "paper" else tuple(_int_list(args.sizes))
+    try:
+        sizes = STUDY_SIZES if args.sizes == "paper" else tuple(_int_list(args.sizes))
+    except ValueError:
+        raise SpecError(
+            f"--sizes must be 'paper' or comma-separated integers, got {args.sizes!r}"
+        ) from None
     spec = RunSpec(
         configs=configs,
         sizes=sizes,

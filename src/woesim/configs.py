@@ -107,10 +107,6 @@ class GuideTable:
             bins.reshape(-1)[cut] = self.edges.searchsorted(key, side="right") - self.row_base[rows]
         return bins
 
-    def invert(self, u: np.ndarray, n1: int) -> np.ndarray:
-        """``lookup``'s bins as an (n, d) C-ordered int64 design matrix."""
-        return np.ascontiguousarray(self.lookup(u, n1).T, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class PredictorSpec:

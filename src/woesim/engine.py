@@ -156,9 +156,9 @@ def run_iteration(
     its scores; the test split is only ever scored, counted once at both
     cutoffs and ranked once threshold-free for concordance.  A split
     with at least as many rows as joint cells is drawn straight into its
-    weighted cells (``generate_cells``, bit for bit ``compress`` of the
-    drawn rows), which leaves every count the estimators see unchanged;
-    a smaller split keeps its rows.
+    weighted cells (``generate_cells``, the cell counts of the rows
+    ``generate_sample`` draws from the same stream), which leaves every
+    count the estimators see unchanged; a smaller split keeps its rows.
     A record is a function of its arguments alone: its three streams are
     addressed by (master_seed, iteration, role), and its AIV is the
     config's.

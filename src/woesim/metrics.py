@@ -86,8 +86,8 @@ def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Counts per slot, events in row 0 and nonevents in row 1: the one
-    count kernel of the package (``compress``, ``estimate_woe`` and every
-    metric count through it).
+    count kernel of the package (``estimate_woe`` and every metric count
+    through it).
 
     ``w`` holds nonnegative integer row weights (None: one per row); a row
     of weight w counts exactly as w identical rows.  Integer weights sum

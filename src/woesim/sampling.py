@@ -6,13 +6,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .configs import ConfigSpec, EventRate
 from .errors import DegeneratePlan
-from .metrics import _check_labels, _check_weights, _class_counts, _integer_typed
+from .metrics import _check_labels, _check_weights, _integer_typed
 from .rng import RngStream
 
 
@@ -60,12 +59,12 @@ class Sample:
     ``bin_counts[j]`` is predictor j's number of bins, and every entry of
     column j must lie in 1..bin_counts[j].  ``w`` (default: one per row) are
     nonnegative integer frequency weights: a row of weight w counts as w
-    identical rows, so a sample reduced to weighted cells (see ``compress``)
-    stands for the rows behind it.  Everything is checked here, once:
-    bin indices and weights of any dtype but an integer one, bin indices
-    outside their range (``IndexError`` naming the predictor) and labels
-    other than 0 and 1 are refused.  The samples ``generate_sample`` and
-    ``generate_cells`` draw and ``compress`` reduces are valid by
+    identical rows, so a sample drawn into weighted cells (see
+    ``generate_cells``) stands for the rows behind it.  Everything is
+    checked here, once: bin indices and weights of any dtype but an
+    integer one, bin indices outside their range (``IndexError`` naming
+    the predictor) and labels other than 0 and 1 are refused.  The samples
+    ``generate_sample`` and ``generate_cells`` draw are valid by
     construction and skip the checks.
 
     Event rows come first by construction; every downstream estimator is
@@ -106,8 +105,8 @@ class Sample:
     def _built_valid(cls, X, Y, bin_counts, w) -> Sample:
         """A sample of arrays this module built valid (int64 bins in range,
         int64 0/1 labels, nonnegative int64 weights), without the checks:
-        on every drawn and every compressed split they cost ~8% of the
-        large-n bench's iterations per second."""
+        on every drawn split they cost ~8% of the large-n bench's
+        iterations per second."""
         sample = object.__new__(cls)
         sample._set(X, Y, bin_counts, w)
         return sample
@@ -147,7 +146,7 @@ def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> S
     # row j of one draw is predictor j's n1 event variates, then its n - n1
     # nonevent variates: the stream order above, in a single call
     u = rng.generator().random((config.n_predictors, n))
-    X = config.guide_table.invert(u, n1)
+    X = np.ascontiguousarray(config.guide_table.lookup(u, n1).T, dtype=np.int64)
     Y = np.zeros(n, dtype=np.int64)
     Y[:n1] = 1
     # a Generator's variates lie in [0, 1) and the table's bins in
@@ -156,80 +155,47 @@ def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> S
 
 
 def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sample:
-    """Draw a sample straight into its weighted joint cells: bit for bit
-    ``compress(generate_sample(config, plan, rng))``, without the rows.
+    """Draw a sample straight into its weighted joint cells, without the
+    rows: one row per (joint cell, class) that ``generate_sample``'s rows
+    from the same stream visit, weighing their count, event rows first and
+    each class in ascending C-order cell.
 
     It makes ``generate_sample``'s one draw and guide-table lookup, codes
     each variate's bins as its joint cell and counts each class's cells,
     the events being the first n1 columns.  It needs at least as many
-    rows as cells, K = prod(bin_counts) <= n, as ``compress`` does to
-    reduce; a smaller sample is every row its own cell, which
-    ``generate_sample`` draws.
+    rows as cells, K = prod(bin_counts) <= n; a smaller sample is every
+    row its own cell, which ``generate_sample`` draws.
     """
     n, n1 = plan.n, plan.n1
     n_cells = math.prod(config.bin_counts)
     if n_cells > n:
         raise ValueError(f"cells need n >= K = {n_cells} rows, got n={n}")
-    space = _cell_space(config.bin_counts)
+    radix, offset, cells = _cell_space(config.bin_counts)
     u = rng.generator().random((config.n_predictors, n))
-    code = space.radix @ config.guide_table.lookup(u, n1) - space.offset
+    code = radix @ config.guide_table.lookup(u, n1) - offset
+    # slot c holds joint cell c's event count and slot K + c its nonevent
+    # count; one row per positive slot, in slot order
     counts = np.concatenate([
         np.bincount(code[:n1], minlength=n_cells),
         np.bincount(code[n1:], minlength=n_cells),
     ])
-    return _cells_from_counts(counts, space)
+    slots = np.flatnonzero(counts)
+    X = cells.take(slots % n_cells, axis=0)
+    # a valid sample's observed cells, their classes and positive counts
+    Y = (slots < n_cells).astype(np.int64)
+    return Sample._built_valid(X, Y, config.bin_counts, counts[slots])
 
 
-def compress(sample: Sample) -> Sample:
-    """Reduce a sample to one weighted row per observed (joint cell, class).
-
-    Rows with the same bins and class are interchangeable to every
-    estimator downstream, so a sample of n rows over K = prod(bin_counts)
-    joint cells carries the same information as per-cell event and
-    nonevent weight totals.  When K <= n the result holds one row per
-    (cell, class) pair of positive total weight, event rows first, each
-    class in ascending cell order, with that total as its weight; so a
-    compressed sample compresses to itself.  When K > n reducing cannot
-    pay, and the sample itself comes back.
-    """
-    n_cells = math.prod(sample.bin_counts)
-    if n_cells > sample.n:
-        return sample
-    space = _cell_space(sample.bin_counts)
-    code = sample.X @ space.radix - space.offset
-    return _cells_from_counts(_class_counts(code, n_cells, sample.Y, sample.w).ravel(), space)
-
-
-class _CellSpace(NamedTuple):
+@lru_cache(maxsize=16)
+def _cell_space(bin_counts: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
     """A bin space's place values ``radix``, their sum ``offset`` and its
     (K, d) table ``cells`` of every joint cell's 1-based bins, in code
     order: a row of bins x lies in the C-order joint cell ``radix @ x -
     offset``."""
-
-    bin_counts: tuple[int, ...]
-    radix: np.ndarray
-    offset: int
-    cells: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _cell_space(bin_counts: tuple[int, ...]) -> _CellSpace:
     # asked for only by a sample of K <= n rows, which pays for the table
     # and keeps every code far inside int64
     radix = np.cumprod((1,) + bin_counts[:0:-1])[::-1]
     cells = np.indices(bin_counts).reshape(len(bin_counts), -1).T + 1
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     radix.flags.writeable = cells.flags.writeable = False
-    return _CellSpace(bin_counts, radix, int(radix.sum()), cells)
-
-
-def _cells_from_counts(counts: np.ndarray, space: _CellSpace) -> Sample:
-    """The weighted sample of the int64 totals ``counts``: slot c holds
-    joint cell c's event total and slot K + c its nonevent total.  One
-    row per positive slot, in slot order, weighing that total."""
-    n_cells = space.cells.shape[0]
-    slots = np.flatnonzero(counts)
-    X = space.cells.take(slots % n_cells, axis=0)
-    # a valid sample's observed cells, their classes and positive totals
-    Y = (slots < n_cells).astype(np.int64)
-    return Sample._built_valid(X, Y, space.bin_counts, counts[slots])
+    return radix, int(radix.sum()), cells

@@ -98,8 +98,9 @@ def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:
     finite for bins one class never visited.  The table covers every bin of
     the sample's ``bin_counts``, including those absent from the sample.
 
-    Rows count with their frequency weights, so a sample reduced to
-    weighted cells (see ``compress``) gives the table of the rows behind it.
+    Rows count with their frequency weights, so a sample drawn into
+    weighted cells (see ``generate_cells``) gives the table of the rows
+    behind it.
     """
     check_theta_adj(theta_adj)
     w = sample.w

@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and only
-``rng.py`` reaches ``numpy.random``.
+"""Every module of the package and of its tests uses each name it
+imports, and only ``rng.py`` reaches ``numpy.random``.
 
 No linter runs on this code base, so a name left imported after its last
 use goes (a deleted exception class, a dropped helper) is caught here.
@@ -19,6 +19,7 @@ import pytest
 import woesim
 
 SOURCES = sorted(p for p in Path(woesim.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 #: Imported but unused on purpose: ``bench/layers.py`` traces these
 #: functions under ``woesim.engine``, so they stay importable there.
@@ -50,7 +51,7 @@ def test_the_check_sees_a_stale_import():
     assert unused_imports(source) == {"InsufficientEvents"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == ALLOWED.get(path.name, set())

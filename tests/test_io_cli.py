@@ -444,11 +444,13 @@ class TestCli:
         ["report", "--in", "{summary}", "--cell", "c0:f1:test", "--out", "{dir}"],
         ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", "{dir}"],
         ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", "{dir}/no/r.csv"],
+        ["run", "--config", "B", "--sizes", "50,abc", "--iters", "1", "--out", "{dir}/r.csv"],
+        ["run", "--config", "B", "--sizes", "50,1.5", "--iters", "1", "--out", "{dir}/r.csv"],
         ["synth", "--d", "2", "--bins", "4,4", "--aiv", "inf", "--out", "{dir}/s.json"],
         ["synth", "--d", "2", "--bins", "4,4", "--aiv", "1", "--tol", "inf",
          "--out", "{dir}/s.json"],
     ], ids=["validate-dir", "summarize-dir", "report-dir", "run-dir", "run-missing-dir",
-            "synth-inf-aiv", "synth-inf-tol"])
+            "run-sizes-word", "run-sizes-float", "synth-inf-aiv", "synth-inf-tol"])
     def test_unusable_input_exits_2_up_front(self, tmp_path, capsys, monkeypatch, argv):
         # the directory paths used to end in an IsADirectoryError traceback,
         # after the whole grid for run; a missing --out directory was only
@@ -469,6 +471,13 @@ class TestCli:
         monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
         argv = ["run", "--config", "B", "--sizes", "60", "--iters", "1", "--out", str(tmp_path / out)]
         with pytest.raises(ws.SpecError, match="--out"):
+            cli._COMMANDS["run"](cli._build_parser().parse_args(argv))
+
+    def test_malformed_run_sizes_are_a_spec_error(self, tmp_path, monkeypatch):
+        # a bare int() ValueError used to reach stderr without naming the flag
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        argv = ["run", "--config", "B", "--sizes", "50,abc", "--iters", "1", "--out", str(tmp_path / "r.csv")]
+        with pytest.raises(ws.SpecError, match="--sizes .*'50,abc'"):
             cli._COMMANDS["run"](cli._build_parser().parse_args(argv))
 
     def test_out_of_memory_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):

@@ -2,23 +2,22 @@
 
 A weighted row counts exactly as that many replicated rows: the engine
 takes every split of at least as many rows as joint cells as a ``Sample``
-of weighted cells (``generate_cells``, the ``compress``ed drawn rows;
-``compress`` keeps any input weights and leaves its own output as it is)
-and hands its weights to the WoE estimate, the fit and the metrics, so each of
-them must agree with the unweighted call on the rows the weights stand
-for.  The fit's Newton step solves as ``np.linalg.solve`` does and falls
-back to least squares exactly where that raises.  The results and
-summary CSVs round-trip any record, the config synthesiser either hits
-its target or says it cannot, a sampling plan holds floor(rate * n)
-events or one flagged event, the sampler consumes its stream in the
-documented order, the grid's records do not depend on the schedule,
-each of them is the one ``run_iteration`` gives at its address, and each
-summary quantile is the one ``np.quantile`` gives on its field alone.
+of weighted cells (``generate_cells``) and hands its weights to the WoE
+estimate, the fit and the metrics, so each of them must agree with the
+unweighted call on the rows the weights stand for.  The fit's Newton
+step solves as ``np.linalg.solve`` does and falls back to least squares
+exactly where that raises.  The results and summary CSVs round-trip
+any record, the config synthesiser either hits its target or says it
+cannot, a sampling plan holds floor(rate * n) events or one flagged
+event, the sampler consumes its stream in the documented order, the
+grid's records do not depend on the schedule, each of them is the one
+``run_iteration`` gives at its address, and each summary quantile is
+the one ``np.quantile`` gives on its field alone.
 The sampler's guide-table lookup gives the bins a per-(predictor, class)
 ``searchsorted`` gives, on cdf and bucket edges too, a split drawn
-straight into cells is the compressed split of drawn rows, and the batched
-cutoff search and confusion count give what one call per metric or
-cutoff gives.
+straight into cells holds the cell counts of the rows ``generate_sample``
+draws from the same stream, and the batched cutoff search and confusion
+count give what one call per metric or cutoff gives.
 """
 
 import math
@@ -30,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
@@ -160,60 +159,32 @@ def cell_totals(sample) -> dict:
     return {key: w for key, w in totals.items() if w}
 
 
-def same_bytes(a, b) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @given(binned_samples(weighted=True))
-def test_compress_preserves_per_class_bin_counts(sample):
-    # input weights are honoured: every (cell, class) keeps its total weight
-    cells = ws.compress(sample)
-    if math.prod(sample.bin_counts) > sample.n:
-        assert cells is sample
-    else:
-        keys = [(tuple(x), y) for x, y in zip(cells.X.tolist(), cells.Y.tolist())]
-        assert len(set(keys)) == len(keys) and cells.w.min() >= 1
-        # event rows first, each class in ascending bin order (the C-order
-        # cell code): the fit's sums, so every recorded bit, follow this order
-        order = [(-y, x) for x, y in keys]
-        assert order == sorted(order)
-        assert cells.bin_counts == sample.bin_counts
-    assert cell_totals(cells) == cell_totals(sample)
-    # the cells pass every check of a Sample, which compress skips
-    ws.Sample(X=cells.X, Y=cells.Y, bin_counts=cells.bin_counts, w=cells.w)
-    assert all(a.dtype == np.int64 and not a.flags.writeable for a in (cells.X, cells.Y, cells.w))
-    again = ws.compress(cells)
-    assert all(same_bytes(getattr(again, a), getattr(cells, a)) for a in ("X", "Y", "w"))
-
-
-@pytest.mark.parametrize("reduced", [True, False], ids=["K<=n", "K>n"])
-@given(binned_samples(weighted=True))
-def test_weighted_woe_equals_replicated_rows(reduced, sample):
-    # weighted cells give the WoE table, fit, cutoffs, confusions and Gini
-    # of the rows behind them, as ``run_iteration`` computes each
-    assume((math.prod(sample.bin_counts) <= sample.n) == reduced)
-    cells, rows = ws.compress(sample), expand(sample)
-    table = ws.estimate_woe(cells)
-    assert table == ws.estimate_woe(rows) == ws.estimate_woe(sample)
-    F, row_F = ws.transform(cells, table), ws.transform(rows, table)
+def test_weighted_woe_equals_replicated_rows(sample):
+    # weighted rows give the WoE table, fit, cutoffs, confusions and Gini
+    # of the rows they stand for, as ``run_iteration`` computes each
+    rows = expand(sample)
+    table = ws.estimate_woe(sample)
+    assert table == ws.estimate_woe(rows)
+    F, row_F = ws.transform(sample, table), ws.transform(rows, table)
     # the fit's weighted design is the rows' design, so it fits their model
     # (``test_weighted_fit_matches_replicated_rows``); a fit on the rows
     # themselves is not compared, as under separation its longer sums stop
     # it elsewhere
-    design = np.column_stack([F, cells.Y])
+    design = np.column_stack([F, sample.Y])
     row_design = np.column_stack([row_F, rows.Y])
-    assert sorted(np.repeat(design, cells.w, axis=0).tolist()) == sorted(row_design.tolist())
-    model = ws.fit_logistic(F, cells.Y, cells.w)
-    # each row takes its cell's score, so the rest is exact
+    assert sorted(np.repeat(design, sample.w, axis=0).tolist()) == sorted(row_design.tolist())
+    model = ws.fit_logistic(F, sample.Y, sample.w)
+    # each row takes its weighted row's score, so the rest is exact
     probs = ws.predict_proba(model, F)
-    row_probs = np.repeat(probs, cells.w)
-    row_labels = np.repeat(cells.Y, cells.w)
+    row_probs = np.repeat(probs, sample.w)
+    row_labels = np.repeat(sample.Y, sample.w)
     both = (ws.METRIC_F1, ws.METRIC_P4)
-    cuts = optimize_cutoffs(probs, cells.Y, both, weights=cells.w)
+    cuts = optimize_cutoffs(probs, sample.Y, both, weights=sample.w)
     assert cuts == optimize_cutoffs(row_probs, row_labels, both)
     thetas = [cut.theta for cut in cuts]
-    assert confusions(probs, cells.Y, thetas, cells.w) == confusions(row_probs, row_labels, thetas)
-    assert ws.gini(probs, cells.Y, cells.w) == ws.gini(row_probs, row_labels)
+    assert confusions(probs, sample.Y, thetas, sample.w) == confusions(row_probs, row_labels, thetas)
+    assert ws.gini(probs, sample.Y, sample.w) == ws.gini(row_probs, row_labels)
 
 
 @given(binned_samples(), st.data())
@@ -479,7 +450,7 @@ def reference_bins(predictors, u, n1):
 @given(guide_inputs())
 def test_guide_table_equals_searchsorted_per_predictor_and_class(data):
     predictors, u, n1 = data
-    assert np.array_equal(GuideTable(predictors).invert(u, n1), reference_bins(predictors, u, n1))
+    assert np.array_equal(GuideTable(predictors).lookup(u, n1).T, reference_bins(predictors, u, n1))
 
 
 @st.composite
@@ -518,19 +489,26 @@ def cell_draws(draw):
 
 @settings(max_examples=150)
 @given(cell_draws())
-def test_generate_cells_equals_compressed_drawn_rows(data):
+def test_generate_cells_counts_the_rows_generate_sample_draws(data):
     config, plan, stream = data
     generator = ws.RngStream.generator
     with mock.patch.object(ws.RngStream, "generator", autospec=True, side_effect=generator) as calls:
         cells = ws.generate_cells(config, plan, stream)
     assert calls.call_count == 1
-    rows = ws.compress(ws.generate_sample(config, plan, stream))
-    assert cells.bin_counts == rows.bin_counts == config.bin_counts
-    for name in ("X", "Y", "w"):
-        got, want = getattr(cells, name), getattr(rows, name)
-        assert same_bytes(got, want)
-        assert got.flags.c_contiguous and want.flags.c_contiguous
-        assert not got.flags.writeable and not want.flags.writeable
+    assert cells.bin_counts == config.bin_counts
+    # the oracle counts rows by their bins, so it shares no cell code or
+    # cell table with generate_cells
+    assert cell_totals(cells) == cell_totals(ws.generate_sample(config, plan, stream))
+    keys = [(tuple(x), y) for x, y in zip(cells.X.tolist(), cells.Y.tolist())]
+    assert len(set(keys)) == len(keys) and cells.w.min() >= 1
+    # event rows first, each class in ascending bin order (the C-order
+    # cell code): the fit's sums, so every recorded bit, follow this order
+    order = [(-y, x) for x, y in keys]
+    assert order == sorted(order)
+    for a in (cells.X, cells.Y, cells.w):
+        assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+    # the cells pass every check of a Sample, which generate_cells skips
+    ws.Sample(X=cells.X, Y=cells.Y, bin_counts=cells.bin_counts, w=cells.w)
 
 
 @settings(max_examples=5)
@@ -649,12 +627,13 @@ _CELL_AIV = {"A": 0.4, "B": 1.5}
 
 @st.composite
 def summary_grids(draw):
-    """Records of up to six cells with 1-4 or 20-23 valid and 0-3 degenerate
-    records each, so cells often share a valid count and as often do not."""
+    """Records of up to six cells with 1-4, 20-23 or 5-40 valid and 0-3
+    degenerate records each, so cells often share a valid count and as
+    often do not."""
     cell = st.tuples(st.sampled_from("AB"), st.sampled_from([50, 100]), st.sampled_from([0.01, 0.05]))
     records = []
     for config_id, n, rate in draw(st.lists(cell, min_size=1, max_size=6, unique=True)):
-        n_valid = draw(st.one_of(st.integers(1, 4), st.integers(20, 23)))
+        n_valid = draw(st.one_of(st.integers(1, 4), st.integers(20, 23), st.integers(5, 40)))
         n_degenerate = draw(st.integers(0, 3))
         for i in range(n_valid + n_degenerate):
             flagged = i >= n_valid

@@ -21,8 +21,7 @@ PUBLIC_NAMES = {
     "METRIC_F1", "METRIC_P4", "ConfusionMatrix", "confusion", "default_cutoff_grid",
     "f1", "gini", "optimize_cutoff", "p4",
     # rng and sampling
-    "RngStream", "Sample", "SamplingPlan", "compress", "generate_cells", "generate_sample",
-    "make_plan",
+    "RngStream", "Sample", "SamplingPlan", "generate_cells", "generate_sample", "make_plan",
     # scorecard
     "FittedModel", "WoeTable", "adjusted_woe", "estimate_woe", "fit_logistic",
     "predict_proba", "transform",
@@ -34,5 +33,5 @@ def test_public_names_are_pinned():
         name for name, value in vars(ws).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert exported == PUBLIC_NAMES

@@ -83,7 +83,7 @@ class TestInvertCdf:
 
     def test_right_open_boundary_convention(self):
         u = np.array([[0.4999, 0.5001, 0.5, 0.0, 0.7]])
-        X = one_predictor((0.5, 0.5)).guide_table.invert(u, 4)
+        X = one_predictor((0.5, 0.5)).guide_table.lookup(u, 4).T
         # the bins partition [0, 1) into right-open intervals, so a variate
         # on an interior boundary falls in the bin to its right
         assert X[:4, 0].tolist() == [1, 2, 2, 1]
@@ -92,7 +92,7 @@ class TestInvertCdf:
         # one event variate, then five nonevent variates inverted together
         u = np.array([[0.9, 0.0, 0.25, 0.499, 0.5, 0.999]])
         config = one_predictor((0.2, 0.3, 0.5), (0.25, 0.25, 0.5))
-        assert config.guide_table.invert(u, 1)[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
+        assert config.guide_table.lookup(u, 1).T[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
 
 
 class TestGuideTable:

@@ -332,13 +332,13 @@ class TestPredictProba:
 
 def small_n_design(config_id, n, rate, iteration):
     """The training design ``run_iteration`` fits: WoE features of the
-    training sample's weighted cells, their responses and their weights."""
+    training sample, drawn into weighted cells when it has at least as
+    many rows as joint cells, its responses and its weights."""
     config = ws.BUILTIN_CONFIGS[config_id]
     plan = ws.make_plan(n, ws.EventRate(rate))
-    train = ws.generate_sample(config, plan, ws.RngStream(20260101, iteration, "train"))
-    table = ws.estimate_woe(train)
-    cells = ws.compress(train)
-    return ws.transform(cells, table), cells.Y, cells.w
+    draw = ws.generate_cells if n >= math.prod(config.bin_counts) else ws.generate_sample
+    train = draw(config, plan, ws.RngStream(20260101, iteration, "train"))
+    return ws.transform(train, ws.estimate_woe(train)), train.Y, train.w
 
 
 # exact reprs of the fits, so a reordered reduction or a changed step shows

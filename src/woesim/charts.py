@@ -8,6 +8,7 @@ q25-q75 band per event rate.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .engine import SummaryRecord
@@ -61,9 +62,14 @@ def _escape(text: str) -> str:
 
 def _tick_labels(ticks: list[float]) -> list[str]:
     """Labels for distinct ticks at the fewest significant digits, 6 or
-    more, that tell them all apart; 17 digits tell any two doubles apart."""
+    more, that tell them all apart; 17 digits tell any two doubles apart.
+
+    A subnormal tick is labelled with its shortest round-trip form, as its
+    exact value at 6 digits shows the coarse spacing of subnormals, not the
+    tick (2.49997e-321 for the double nearest 2.5e-321).
+    """
     for digits in range(6, 18):
-        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        labels = [repr(t) if 0 < abs(t) < sys.float_info.min else f"{t:.{digits}g}" for t in ticks]
         if len(set(labels)) == len(labels):
             break
     return labels

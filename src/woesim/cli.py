@@ -38,12 +38,23 @@ _INPUT_ERRORS = (
 )
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+#: What a refusal calls the items of a comma-separated option, by item type.
+_ITEM_NAMES = {float: "numbers", int: "integers"}
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _comma_list(option: str, text: str, kind: type) -> list:
+    """The ``kind`` items of a comma-separated option value (empty items
+    skipped); the first item ``kind`` refuses is a SpecError naming it and
+    the option."""
+    items = []
+    for tok in filter(None, text.split(",")):
+        try:
+            items.append(kind(tok))
+        except ValueError:
+            raise SpecError(
+                f"{option} takes comma-separated {_ITEM_NAMES[kind]}; {tok!r} in {text!r} is not one"
+            ) from None
+    return items
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the Monte Carlo grid")
     p.add_argument("--config", action="append", required=True,
                    help="built-in id (A..D) or config JSON path; repeatable")
-    p.add_argument("--rates", type=_float_list, default=list(DEFAULT_RATES),
-                   help="comma-separated event rates (default 0.01,0.05,0.10)")
+    p.add_argument("--rates", default=",".join(map(str, DEFAULT_RATES)),
+                   help="comma-separated event rates (default 0.01,0.05,0.1)")
     p.add_argument("--sizes", default="paper",
                    help="comma-separated sample sizes, or 'paper' for the default grid")
     p.add_argument("--iters", type=int, default=500, help="Monte Carlo iterations per cell")
@@ -84,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a config hitting a target AIV")
     p.add_argument("--d", type=int, required=True, help="number of predictors")
-    p.add_argument("--bins", type=_int_list, required=True,
+    p.add_argument("--bins", required=True,
                    help="comma-separated bin counts, one per predictor")
     p.add_argument("--aiv", type=float, required=True, help="target aggregate information value")
     p.add_argument("--tol", type=float, default=0.05, help="acceptable AIV deviation")
@@ -110,16 +121,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     configs = tuple(io.resolve_config(spec) for spec in args.config)
-    try:
-        sizes = STUDY_SIZES if args.sizes == "paper" else tuple(_int_list(args.sizes))
-    except ValueError:
-        raise SpecError(
-            f"--sizes must be 'paper' or comma-separated integers, got {args.sizes!r}"
-        ) from None
+    sizes = STUDY_SIZES if args.sizes == "paper" else _comma_list("--sizes", args.sizes, int)
     spec = RunSpec(
         configs=configs,
         sizes=sizes,
-        rates=tuple(args.rates),
+        rates=_comma_list("--rates", args.rates, float),
         iterations=args.iters,
         master_seed=args.seed,
         theta_adj=args.theta_adj,
@@ -173,7 +179,7 @@ def _cmd_guideline(args) -> int:
 def _cmd_synth(args) -> int:
     config = synthesize_config(
         d=args.d,
-        bins=args.bins,
+        bins=_comma_list("--bins", args.bins, int),
         target_aiv=args.aiv,
         tol=args.tol,
         rng=RngStream(args.seed, 0, "synth"),

@@ -19,11 +19,11 @@ import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
 from .errors import DegenerateDesign, EmptyCell, SpecError
-from .metrics import METRIC_F1, METRIC_P4, confusions, f1, gini, optimize_cutoffs, p4
+from .metrics import METRIC_F1, METRIC_P4, _f1_on_counts, _p4_on_counts, _rank
 
 # bench/layers.py traces these under this module, so they stay importable
-# here though each split is counted through the batched forms above
-from .metrics import confusion, default_cutoff_grid, optimize_cutoff  # noqa: F401
+# here though run_iteration reads every split metric from one _rank call
+from .metrics import confusion, default_cutoff_grid, gini, optimize_cutoff  # noqa: F401
 from .rng import RngStream, check_master_seed
 from .sampling import SamplingPlan, generate_cells, generate_sample, make_plan
 from .scorecard import check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform
@@ -151,10 +151,10 @@ def run_iteration(
 ) -> IterationRecord:
     """One full train/validate/test pass at a fixed sampling plan.
 
-    The training split alone fixes the WoE table and the coefficients; the
-    validation split alone picks the F1 and P4 cutoffs, from one count of
-    its scores; the test split is only ever scored, counted once at both
-    cutoffs and ranked once threshold-free for concordance.  A split
+    The training split alone fixes the WoE table and the coefficients.  The
+    validation and test splits are only ever scored, and each is ranked
+    once: the validation ranking gives the F1 and P4 cutoffs and its Gini,
+    the test ranking the counts at both cutoffs and its Gini.  A split
     with at least as many rows as joint cells is drawn straight into its
     weighted cells (``generate_cells``, the cell counts of the rows
     ``generate_sample`` draws from the same stream), which leaves every
@@ -180,21 +180,21 @@ def run_iteration(
         table = estimate_woe(train, theta_adj)
         model = fit_logistic(transform(train, table), train.Y, train.w)
 
-        probs_val = predict_proba(model, transform(val, table))
-        cut_f1, cut_p4 = optimize_cutoffs(probs_val, val.Y, (METRIC_F1, METRIC_P4), weights=val.w)
+        ranked_val = _rank(predict_proba(model, transform(val, table)), val.Y, val.w)
+        cut_f1, cut_p4 = ranked_val.best_cutoffs((METRIC_F1, METRIC_P4))
 
-        probs_test = predict_proba(model, transform(test, table))
-        cm_f1, cm_p4 = confusions(probs_test, test.Y, (cut_f1.theta, cut_p4.theta), test.w)
+        ranked_test = _rank(predict_proba(model, transform(test, table)), test.Y, test.w)
+        tp, fp, fn, tn = ranked_test.counts_at((cut_f1.theta, cut_p4.theta))
         return IterationRecord(
             converged=model.converged,
             theta_f1=cut_f1.theta,
             theta_p4=cut_p4.theta,
             f1_val=cut_f1.score,
-            f1_test=f1(cm_f1),
+            f1_test=float(_f1_on_counts(tp, fp, fn)[0]),
             p4_val=cut_p4.score,
-            p4_test=p4(cm_p4),
-            gini_val=gini(probs_val, val.Y, val.w),
-            gini_test=gini(probs_test, test.Y, test.w),
+            p4_test=float(_p4_on_counts(tp, fp, fn, tn)[1]),
+            gini_val=ranked_val.gini(),
+            gini_test=ranked_test.gini(),
             **base,
         )
     except DegenerateDesign:
@@ -210,14 +210,10 @@ def _plans_for(spec: RunSpec) -> list[tuple[ConfigSpec, SamplingPlan]]:
             if spec.fixed_events is not None:
                 # fixed event count: the rate list is irrelevant, the
                 # effective rate n1/n is what gets recorded
-                plan = SamplingPlan(
-                    n=n, n1=spec.fixed_events, pi1=spec.fixed_events / n
-                )
+                plan = SamplingPlan(n=n, n1=spec.fixed_events, pi1=spec.fixed_events / n)
                 cells.append((config, plan))
             else:
-                for rate in spec.rates:
-                    plan = make_plan(n, EventRate(rate))
-                    cells.append((config, plan))
+                cells.extend((config, make_plan(n, EventRate(rate))) for rate in spec.rates)
     return cells
 
 

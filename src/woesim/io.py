@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, get_type_hints
@@ -117,13 +118,22 @@ def _parse_bool(text: str) -> bool:
     raise SchemaError(f"expected 'true' or 'false', got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    """A double, NaN included.  No record holds an infinity, and one would
+    turn the summary quantiles next to it into NaN, so it is refused."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"infinite value {text!r}")
+    return value
+
+
 #: (formatter, parser) per record field type.  ``repr`` is the shortest
-#: string that parses back to the same double (``nan``, ``inf`` and ``-0.0``
+#: string that parses back to the same double (``nan`` and ``-0.0``
 #: included).
 _CODECS = {
     str: (str, str),
     int: (str, int),
-    float: (repr, float),
+    float: (repr, _parse_float),
     bool: (_fmt_bool, _parse_bool),
 }
 

@@ -4,14 +4,16 @@ grid-search cutoff optimization.
 Conventions fixed here because results at tiny sample sizes depend on them:
 an observation is classified positive when its score is >= the cutoff, and
 every 0/0 metric value collapses to 0 rather than propagating NaN into
-quantile summaries.  Every count comes from one integer kernel over scores
-with optional integer row weights, a row of weight w counting exactly as w
-identical rows.  Labels other than 0 and 1 are refused.
+quantile summaries.  Every metric of a split is read from one sort of its
+scores (``_rank``), counted with optional integer row weights, a row of
+weight w counting exactly as w identical rows.  Labels other than 0 and 1
+are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,21 +99,6 @@ def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray |
     return tally.astype(np.int64, copy=False).reshape(2, n_slots)
 
 
-def _counts_at(probs, labels, weights, cutoffs: np.ndarray):
-    """tp/fp/fn/tn at each of the ascending cutoffs (positive when prob >= cutoff).
-
-    A row's slot is the number of cutoffs at or below its score, so it is
-    negative exactly at the cutoffs from its slot on.
-    """
-    p, y, w = _check_scores(probs, labels, weights)
-    slot = np.searchsorted(cutoffs, p, side="right")
-    below = _class_counts(slot, cutoffs.size + 1, y, w).cumsum(axis=1)
-    negative = below[:, :-1]
-    tp, fp = below[:, -1:] - negative
-    fn, tn = negative
-    return tp, fp, fn, tn
-
-
 def _f1_on_counts(tp, fp, fn) -> np.ndarray:
     den = np.asarray(2 * tp + fp + fn)
     out = np.zeros(den.shape, dtype=float)
@@ -134,19 +121,65 @@ _SCORES_ON_COUNTS = {
 }
 
 
+class _Ranking(NamedTuple):
+    """A split's distinct scores, ascending, and the event (row 0) and
+    nonevent (row 1) weight below each, the class totals last."""
+
+    scores: np.ndarray
+    below: np.ndarray
+
+    def counts_at(self, cutoffs) -> np.ndarray:
+        """Rows tp, fp, fn and tn at each cutoff: the weight from its first
+        distinct score at or above it on is positive, the rest negative."""
+        negative = self.below.take(np.searchsorted(self.scores, cutoffs, side="left"), axis=1)
+        return np.concatenate((self.below[:, -1:] - negative, negative))
+
+    def gini(self) -> float:
+        e_below, g_below = self.below
+        n1, n0 = int(e_below[-1]), int(g_below[-1])
+        if n1 == 0 or n0 == 0:
+            raise DegenerateDesign("gini needs at least one event and one nonevent")
+        e = np.diff(e_below)
+        # nonevents strictly below each event group, and strictly above it
+        concordant, discordant = int(e @ g_below[:-1]), int(e @ (n0 - g_below[1:]))
+        return (concordant - discordant) / (n1 * n0)
+
+    def best_cutoffs(self, metric_ids) -> tuple[CutoffResult, ...]:
+        if unknown := [m for m in metric_ids if m not in _SCORES_ON_COUNTS]:
+            raise ValueError(f"unknown metric_id {unknown[0]!r} (expected 'f1' or 'p4')")
+        g = default_cutoff_grid()
+        counts = self.counts_at(g)
+        scores = [_SCORES_ON_COUNTS[metric_id](*counts) for metric_id in metric_ids]
+        best = [int(np.argmax(s)) for s in scores]  # first maximum = smallest cutoff
+        return tuple(CutoffResult(theta=float(g[k]), score=float(s[k])) for s, k in zip(scores, best))
+
+
+def _rank(probs, labels, weights) -> _Ranking:
+    """Sort a split's scores once, for every metric to read.  NaN scores
+    sort last in one group: they tie with each other and rank above every
+    number, so they count as positive at every cutoff."""
+    p, y, w = _check_scores(probs, labels, weights)
+    order = p.argsort()
+    ranked = p[order]
+    starts = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    if ranked[-1] != ranked[-1]:
+        # NaNs never equal each other: join them in one group
+        starts[np.isnan(ranked).argmax() + 1:] = False
+    # slot k + 1 holds the k-th smallest distinct score and slot 0 stays
+    # empty, so the running count at slot k is the weight below score k
+    slot = starts.cumsum()
+    below = _class_counts(slot, int(slot[-1]) + 1, y[order], w[order]).cumsum(axis=1)
+    return _Ranking(ranked[starts], below)
+
+
 def confusions(probs, labels, thetas, weights=None) -> tuple[ConfusionMatrix, ...]:
     """The confusion matrix at each cutoff (positive when prob >= theta),
-    in the order given, from one count over the sorted cutoffs; equal
-    cutoffs share a value, as the count gives a repeat an empty slot.  A NaN
-    cutoff is refused: no score is at or above it, nor below it."""
+    in the order given, from one ranking of the scores.  A NaN cutoff is
+    refused: no score is at or above it, nor below it."""
     theta = np.asarray(thetas, dtype=float)
     if np.isnan(theta).any():
         raise ValueError("cutoffs must not be NaN")
-    order = theta.argsort()
-    tp, fp, fn, tn = (c.tolist() for c in _counts_at(probs, labels, weights, theta[order]))
-    return tuple(
-        ConfusionMatrix(tp=tp[k], fp=fp[k], fn=fn[k], tn=tn[k]) for k in order.argsort().tolist()
-    )
+    return tuple(map(ConfusionMatrix, *_rank(probs, labels, weights).counts_at(theta).tolist()))
 
 
 def confusion(probs, labels, theta: float, weights=None) -> ConfusionMatrix:
@@ -174,45 +207,16 @@ def gini(probs, labels, weights=None) -> float:
     result equals full O(n^2) pair enumeration exactly.  NaN scores rank
     above every number and tie with each other.
     """
-    p, y, w = _check_scores(probs, labels, weights)
-    order = p.argsort()
-    ranked = p[order]
-    # group k holds the k-th smallest distinct score
-    starts = np.empty(ranked.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    if ranked[-1] != ranked[-1]:
-        # NaNs sort last and never equal each other: join them in one group
-        starts[np.isnan(ranked).argmax() + 1:] = False
-    group = starts.cumsum() - 1
-    e, g = _class_counts(group, int(group[-1]) + 1, y[order], w[order])
-    n1, n0 = int(e.sum()), int(g.sum())
-    if n1 == 0 or n0 == 0:
-        raise DegenerateDesign("gini needs at least one event and one nonevent")
-    g_cum = g.cumsum()
-    # nonevents strictly below each event group, and strictly above it
-    concordant = int(e @ (g_cum - g))
-    discordant = int(e @ (n0 - g_cum))
-    return (concordant - discordant) / (n1 * n0)
+    return _rank(probs, labels, weights).gini()
 
 
 def optimize_cutoffs(probs, labels, metric_ids, *, weights=None) -> tuple[CutoffResult, ...]:
     """Search ``default_cutoff_grid()`` for the cutoff maximizing each of
-    ``metric_ids`` (F1 or P4, in the order given) from one count over the grid.
+    ``metric_ids`` (F1 or P4, in the order given) from one ranking of the scores.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
-    for metric_id in metric_ids:
-        if metric_id not in _SCORES_ON_COUNTS:
-            raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
-    g = default_cutoff_grid()
-    counts = _counts_at(probs, labels, weights, g)
-    results = []
-    for metric_id in metric_ids:
-        scores = _SCORES_ON_COUNTS[metric_id](*counts)
-        best = int(np.argmax(scores))  # first maximum = smallest cutoff
-        results.append(CutoffResult(theta=float(g[best]), score=float(scores[best])))
-    return tuple(results)
+    return _rank(probs, labels, weights).best_cutoffs(metric_ids)
 
 
 def optimize_cutoff(probs, labels, metric_id: str, *, weights=None) -> CutoffResult:

@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import signal
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -204,6 +205,14 @@ class TestCharts:
         with pytest.raises(ws.EmptyCell):
             ws.emit_chart(summary, "Z", "f1", "test")
 
+    def test_infinite_cell_in_memory_refused_naming_its_row(self):
+        # the summary loader refuses an infinity, so only records built in
+        # memory bring one this far
+        summary = ws.summarize(tiny_records())
+        summary = [r._replace(median=math.inf) if r.n == 100 else r for r in summary]
+        with pytest.raises(ValueError, match="n=100, rate=0.05"):
+            ws.emit_chart(summary, "B", "f1", "test")
+
     @pytest.mark.parametrize(
         ("lo", "hi"),
         [(0.0, 0.7), (0.5, float(np.nextafter(0.5, 1.0))), (0.0, 1e-320), (0.1, 0.1 + 3e-11)],
@@ -221,6 +230,13 @@ class TestCharts:
         if (lo, hi) == (0.0, 0.7):
             assert ticks == [0, 0.2, 0.4, 0.6]
             assert labels == ["0", "0.2", "0.4", "0.6"]
+
+    def test_subnormal_ticks_are_labelled_in_their_shortest_form(self):
+        # at 6 significant digits these read 2.49997e-321, 4.99994e-321,
+        # 7.49992e-321 and 9.99989e-321: the exact values of the doubles
+        labels = _tick_labels(_nice_ticks(0.0, 1e-320))
+        assert labels == ["0", "2.5e-321", "5e-321", "7.5e-321", "1e-320"]
+        assert _tick_labels([-5e-321, 0.0, 5e-321]) == ["-5e-321", "0", "5e-321"]
 
     def test_chart_of_a_config_id_with_markup_is_well_formed(self):
         # the id went into the SVG unescaped, which no XML parser accepts
@@ -349,6 +365,46 @@ class TestCli:
         assert f"{results}: line 4, column 'aiv': " in err
         assert "'abc'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, text", [("aiv", "inf"), ("gini_test", "-inf"), ("f1_val", "1e999")])
+    def test_summarize_refuses_an_infinite_value_naming_line_and_column(
+        self, tmp_path, capsys, column, text
+    ):
+        # its quantiles used to come out NaN, with a numpy RuntimeWarning
+        results = tmp_path / "results.csv"
+        io.save_results_csv(tiny_records(), results)
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[3].rstrip("\r\n").split(",")
+        fields[ws.IterationRecord._fields.index(column)] = text
+        lines[3] = ",".join(fields) + "\r\n"
+        results.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "summary.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["summarize", "--in", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{results}: line 4, column {column!r}: infinite value {text!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option, token", [
+        (["run", "--config", "B", "--rates", "0.1,abc", "--sizes", "50", "--iters", "1",
+          "--out", "{dir}/r.csv"], "--rates", "abc"),
+        (["run", "--config", "B", "--rates", "0.1", "--sizes", "50,,7x", "--iters", "1",
+          "--out", "{dir}/r.csv"], "--sizes", "7x"),
+        (["synth", "--d", "2", "--bins", "4,four", "--aiv", "1", "--out", "{dir}/s.json"],
+         "--bins", "four"),
+    ], ids=["rates", "sizes", "bins"])
+    def test_malformed_list_option_exits_2_naming_option_and_token(
+        self, tmp_path, capsys, monkeypatch, argv, option, token
+    ):
+        # --rates and --bins used to print "invalid _float_list value" and
+        # "invalid _int_list value", the names of private helpers
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("the grid ran"))
+        assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} takes comma-separated ")
+        assert f"{token!r} in " in err and "_list" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_run_parallel_matches_serial_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -527,13 +583,17 @@ class TestCli:
         assert code == 0
         assert 1 <= chart.read_text().count('text-anchor="end"') <= 7  # count + 2 ticks at most
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
-    def test_report_refuses_a_non_finite_cell_naming_its_row(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, row", [
+        # the summary loader refuses an infinity; the chart refuses a NaN
+        (math.inf, "line 3, column 'median'"),
+        (math.nan, "n=200, rate=0.05"),
+    ], ids=["inf", "nan"])
+    def test_report_refuses_a_non_finite_cell_naming_its_row(self, tmp_path, capsys, bad, row):
         # neither an OverflowError traceback (inf) nor "nan" coordinates in
         # a written chart (NaN)
         code, chart = self.report_of(tmp_path, [0.5, bad, 0.6])
         assert code == 2
-        assert "n=200, rate=0.05" in capsys.readouterr().err
+        assert row in capsys.readouterr().err
         assert not chart.exists()
 
     def test_report_refuses_finite_values_spanning_more_than_a_float(self, tmp_path, capsys):

@@ -7,7 +7,8 @@ estimate, the fit and the metrics, so each of them must agree with the
 unweighted call on the rows the weights stand for.  The fit's Newton
 step solves as ``np.linalg.solve`` does and falls back to least squares
 exactly where that raises.  The results and summary CSVs round-trip
-any record, the config synthesiser either hits its target or says it
+any record without an infinity and refuse one with, naming its line and
+column; the config synthesiser either hits its target or says it
 cannot, a sampling plan holds floor(rate * n) events or one flagged
 event, the sampler consumes its stream in the documented order, the
 grid's records do not depend on the schedule, each of them is the one
@@ -17,7 +18,8 @@ The sampler's guide-table lookup gives the bins a per-(predictor, class)
 ``searchsorted`` gives, on cdf and bucket edges too, a split drawn
 straight into cells holds the cell counts of the rows ``generate_sample``
 draws from the same stream, and the batched cutoff search and confusion
-count give what one call per metric or cutoff gives.
+count give what one call per metric or cutoff gives and what masked
+weight sums at each cutoff, which sort nothing, give.
 """
 
 import math
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 import woesim as ws
 from woesim import engine, io, scorecard
 from woesim.configs import _GUIDE_BUCKETS, PROB_FLOOR, GuideTable, bin_cdf
-from woesim.metrics import confusions, optimize_cutoffs
+from woesim.metrics import CutoffResult, confusions, optimize_cutoffs
 
 GRID = ws.default_cutoff_grid()
 
@@ -125,6 +127,55 @@ def test_confusions_equals_one_count_per_cutoff(data, thetas):
     probs, labels, weights = data
     assert confusions(probs, labels, thetas, weights) == tuple(
         ws.confusion(probs, labels, theta, weights) for theta in thetas
+    )
+
+
+@st.composite
+def tallied_cutoffs(draw):
+    """Cutoffs for ``scores_with_nans``: grid points, scores of the split
+    itself and any in [0, 1], unsorted and some repeated."""
+    probs, labels, weights = draw(scores_with_nans())
+    numbers = [float(p) for p in probs if p == p]
+    pick = st.sampled_from(GRID) | st.floats(0.0, 1.0)
+    if numbers:
+        pick |= st.sampled_from(numbers)
+    thetas = draw(st.lists(pick, min_size=1, max_size=5))
+    thetas += draw(st.lists(st.sampled_from(thetas), max_size=2))
+    return (probs, labels, weights), draw(st.permutations(thetas))
+
+
+def tally(probs, labels, weights, theta) -> list[int]:
+    """tp, fp, fn and tn at ``theta`` as masked weight sums.  A NaN score
+    ranks above every number, so it is never below a cutoff."""
+    w = np.ones(probs.size, dtype=np.int64) if weights is None else weights
+    pos, events = ~(probs < theta), labels == 1
+    return [int(w[mask].sum()) for mask in
+            (pos & events, pos & ~events, ~pos & events, ~pos & ~events)]
+
+
+@given(tallied_cutoffs())
+def test_confusions_equal_a_direct_tally_at_each_cutoff(data):
+    (probs, labels, weights), thetas = data
+    assert [[cm.tp, cm.fp, cm.fn, cm.tn] for cm in confusions(probs, labels, thetas, weights)] == [
+        tally(probs, labels, weights, theta) for theta in thetas
+    ]
+
+
+@given(scores_with_nans())
+def test_optimize_cutoffs_equal_the_first_argmax_over_tallies_on_the_grid(data):
+    probs, labels, weights = data
+    counts = [tally(probs, labels, weights, theta) for theta in GRID]
+    f1s = [2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0 for tp, fp, fn, _ in counts]
+    p4s = [
+        4 * tp * tn / den if (den := 4 * tp * tn + (tp + tn) * (fp + fn)) else 0.0
+        for tp, fp, fn, tn in counts
+    ]
+    expected = []
+    for scores in (f1s, p4s):
+        best = scores.index(max(scores))  # the first maximum, the smallest cutoff
+        expected.append(CutoffResult(theta=float(GRID[best]), score=scores[best]))
+    assert optimize_cutoffs(probs, labels, (ws.METRIC_F1, ws.METRIC_P4), weights=weights) == tuple(
+        expected
     )
 
 
@@ -275,10 +326,10 @@ _AWKWARD_TEXT = st.one_of(
     st.text(),
     st.sampled_from(["", "a,b", 'say "hi"', "cr\rlf\nboth\r\n", "naïve ✓ 模型", " lead"]),
 )
-# Floats with NaN, +-inf, -0.0 and subnormals.
+# Floats with NaN, -0.0 and subnormals; the loaders refuse an infinity.
 _ANY_FLOAT = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=True, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([math.nan, -0.0, 5e-324, 2.2250738585072014e-308]),
 )
 _STRATEGY_BY_TYPE = {
     str: _AWKWARD_TEXT,
@@ -316,6 +367,28 @@ def test_csv_save_load_save_round_trips_any_record(cls, save, load, data):
         # NaN != NaN, so the records are compared through their field reprs
         assert _field_reprs(loaded) == _field_reprs(records)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cls, save, load",
+    [
+        (ws.IterationRecord, io.save_results_csv, io.load_results_csv),
+        (ws.SummaryRecord, io.save_summary_csv, io.load_summary_csv),
+    ],
+    ids=["results", "summary"],
+)
+@given(data=st.data())
+def test_csv_load_refuses_an_infinity_naming_its_line_and_column(cls, save, load, data):
+    records = data.draw(_records_of(cls).filter(bool))
+    floats = [name for name, kind in typing.get_type_hints(cls).items() if kind is float]
+    column = data.draw(st.sampled_from(floats))
+    records[0] = records[0]._replace(**{column: data.draw(st.sampled_from([math.inf, -math.inf]))})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "records.csv")
+        save(records, path)
+        # the first record's row starts on line 2, however many lines it spans
+        with pytest.raises(ws.SchemaError, match=f"line 2, column {column!r}: infinite value"):
+            load(path)
 
 
 @given(

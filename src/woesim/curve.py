@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,6 +162,14 @@ def fit_logistic_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
     return CurveFit(L=float(L), k=float(k), x0=float(x0), rss=float(rss[best]))
 
 
+class GuidelineRow(NamedTuple):
+    """One row of a guideline table, as the tuple of its guideline-CSV row."""
+
+    event_rate: float
+    aiv: float
+    predicted_median: float
+
+
 @dataclass(frozen=True)
 class GuidelineTable:
     """Predicted attainable scores on a (rate x strength) grid."""
@@ -171,10 +179,10 @@ class GuidelineTable:
     values: tuple[tuple[float, ...], ...]
 
     def rows(self):
-        """Flat (rate, strength, prediction) rows in table order."""
+        """Flat ``GuidelineRow``s in table order."""
         for rate, row in zip(self.rates, self.values):
             for aiv, value in zip(self.aiv_grid, row):
-                yield rate, aiv, value
+                yield GuidelineRow(rate, aiv, value)
 
     def render(self) -> str:
         """Fixed-width text table with predictions rounded to 2 decimals."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
 from .errors import DegenerateDesign, EmptyCell, SpecError
-from .metrics import METRIC_F1, METRIC_P4, _f1_on_counts, _p4_on_counts, _rank
+from .metrics import _rank
 
 # bench/layers.py traces these under this module, so they stay importable
 # here though run_iteration reads every split metric from one _rank call
@@ -154,7 +154,7 @@ def run_iteration(
     The training split alone fixes the WoE table and the coefficients.  The
     validation and test splits are only ever scored, and each is ranked
     once: the validation ranking gives the F1 and P4 cutoffs and its Gini,
-    the test ranking the counts at both cutoffs and its Gini.  A split
+    the test ranking F1 and P4 at those cutoffs and its Gini.  A split
     with at least as many rows as joint cells is drawn straight into its
     weighted cells (``generate_cells``, the cell counts of the rows
     ``generate_sample`` draws from the same stream), which leaves every
@@ -181,18 +181,18 @@ def run_iteration(
         model = fit_logistic(transform(train, table), train.Y, train.w)
 
         ranked_val = _rank(predict_proba(model, transform(val, table)), val.Y, val.w)
-        cut_f1, cut_p4 = ranked_val.best_cutoffs((METRIC_F1, METRIC_P4))
+        cut_f1, cut_p4 = ranked_val.best_cutoffs()
 
         ranked_test = _rank(predict_proba(model, transform(test, table)), test.Y, test.w)
-        tp, fp, fn, tn = ranked_test.counts_at((cut_f1.theta, cut_p4.theta))
+        f1_test, p4_test = ranked_test.scores_at((cut_f1.theta, cut_p4.theta))
         return IterationRecord(
             converged=model.converged,
             theta_f1=cut_f1.theta,
             theta_p4=cut_p4.theta,
             f1_val=cut_f1.score,
-            f1_test=float(_f1_on_counts(tp, fp, fn)[0]),
+            f1_test=float(f1_test[0]),
             p4_val=cut_p4.score,
-            p4_test=float(_p4_on_counts(tp, fp, fn, tn)[1]),
+            p4_test=float(p4_test[1]),
             gini_val=ranked_val.gini(),
             gini_test=ranked_test.gini(),
             **base,

@@ -1,12 +1,16 @@
 """File formats: config JSON, results / summary / guideline CSV.
 
-All CSV numeric fields use the shortest decimal representation that parses
-back to the identical double, so save/load round-trips are lossless.
+Each format is described once, by its type: the config JSON keys are the
+``ConfigSpec`` and ``PredictorSpec`` fields, and a CSV's columns are the
+fields of its record type.  All CSV numeric fields use the shortest
+decimal representation that parses back to the identical double, so
+save/load round-trips are lossless.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from itertools import islice
@@ -14,14 +18,12 @@ from pathlib import Path
 from typing import Iterable, get_type_hints
 
 from .configs import BUILTIN_CONFIGS, ConfigSpec, PredictorSpec
-from .curve import GuidelineTable
+from .curve import GuidelineRow, GuidelineTable
 from .engine import IterationRecord, SummaryRecord
 from .errors import ConfigError, SchemaError
 
-GUIDELINE_HEADER = ["event_rate", "aiv", "predicted_median"]
-
-_CONFIG_KEYS = {"id", "predictors"}
-_PREDICTOR_KEYS = {"name", "p_event", "p_nonevent"}
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ConfigSpec)}
+_PREDICTOR_KEYS = {field.name for field in dataclasses.fields(PredictorSpec)}
 
 
 def _require_keys(path, where: str, obj: dict, expected: set[str]) -> None:
@@ -40,7 +42,10 @@ def _number_list(path, where: str, value) -> list[float]:
     for i, v in enumerate(value):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{path}: {where}[{i}] must be a number")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise SchemaError(f"{path}: {where}[{i}] is too large to be a probability") from None
     return out
 
 
@@ -82,18 +87,7 @@ def load_config(path) -> ConfigSpec:
 
 def save_config(config: ConfigSpec, path) -> None:
     """Write a configuration as schema-conformant JSON."""
-    doc = {
-        "id": config.id,
-        "predictors": [
-            {
-                "name": p.name,
-                "p_event": list(p.p_event),
-                "p_nonevent": list(p.p_nonevent),
-            }
-            for p in config.predictors
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n", encoding="utf-8")
 
 
 def resolve_config(spec: str) -> ConfigSpec:
@@ -150,13 +144,17 @@ def _columns(cls) -> tuple[list[str], list[tuple]]:
 
 
 # built at import, so a field type without a codec fails here, not on a write
-_COLUMNS = {cls: _columns(cls) for cls in (IterationRecord, SummaryRecord)}
+_COLUMNS = {cls: _columns(cls) for cls in (IterationRecord, SummaryRecord, GuidelineRow)}
 # rows are formatted and parsed a column at a time in chunks of this many,
 # which keeps the per-value calls in C while holding one chunk's strings
 _CHUNK_ROWS = 64
 
 
 def _save_records(cls, records: Iterable, path) -> None:
+    """Write ``records`` of type ``cls`` as CSV.  A record holding an
+    infinity, which no loader reads back, is refused with a ValueError
+    naming its column and the record; the file then holds the header and
+    the rows of every chunk of ``_CHUNK_ROWS`` records before its own."""
     header, codecs = _COLUMNS[cls]
     # a record is the tuple of its row
     rows = iter(records)
@@ -164,8 +162,12 @@ def _save_records(cls, records: Iterable, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            columns = [map(fmt, column) for (fmt, _), column in zip(codecs, zip(*chunk))]
-            writer.writerows(zip(*columns))
+            columns = list(zip(*chunk))
+            for name, (fmt, _), column in zip(header, codecs, columns):
+                if fmt is repr and (math.inf in column or -math.inf in column):
+                    record = next(r for r in chunk if math.isinf(getattr(r, name)))
+                    raise ValueError(f"{path}: column {name!r} is infinite in {record!r}")
+            writer.writerows(zip(*(map(fmt, column) for (fmt, _), column in zip(codecs, columns))))
 
 
 def _load_records(cls, path) -> list:
@@ -226,7 +228,4 @@ def load_summary_csv(path) -> list[SummaryRecord]:
 
 
 def save_guideline_csv(table: GuidelineTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GUIDELINE_HEADER)
-        writer.writerows(map(repr, row) for row in table.rows())
+    _save_records(GuidelineRow, table.rows(), path)

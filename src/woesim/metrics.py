@@ -28,6 +28,11 @@ def default_cutoff_grid() -> np.ndarray:
     return np.arange(1, 1000) / 1000.0
 
 
+#: The grid every cutoff search reads, built once and read-only.
+_GRID = default_cutoff_grid()
+_GRID.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Binary confusion counts: actual class versus predicted class."""
@@ -114,13 +119,6 @@ def _p4_on_counts(tp, fp, fn, tn) -> np.ndarray:
     return out
 
 
-#: Each metric's score per cutoff, from the (tp, fp, fn, tn) count vectors.
-_SCORES_ON_COUNTS = {
-    METRIC_F1: lambda tp, fp, fn, tn: _f1_on_counts(tp, fp, fn),
-    METRIC_P4: _p4_on_counts,
-}
-
-
 class _Ranking(NamedTuple):
     """A split's distinct scores, ascending, and the event (row 0) and
     nonevent (row 1) weight below each, the class totals last."""
@@ -144,14 +142,17 @@ class _Ranking(NamedTuple):
         concordant, discordant = int(e @ g_below[:-1]), int(e @ (n0 - g_below[1:]))
         return (concordant - discordant) / (n1 * n0)
 
-    def best_cutoffs(self, metric_ids) -> tuple[CutoffResult, ...]:
-        if unknown := [m for m in metric_ids if m not in _SCORES_ON_COUNTS]:
-            raise ValueError(f"unknown metric_id {unknown[0]!r} (expected 'f1' or 'p4')")
-        g = default_cutoff_grid()
-        counts = self.counts_at(g)
-        scores = [_SCORES_ON_COUNTS[metric_id](*counts) for metric_id in metric_ids]
-        best = [int(np.argmax(s)) for s in scores]  # first maximum = smallest cutoff
-        return tuple(CutoffResult(theta=float(g[k]), score=float(s[k])) for s, k in zip(scores, best))
+    def scores_at(self, cutoffs) -> tuple[np.ndarray, np.ndarray]:
+        """F1 and P4 at each cutoff."""
+        tp, fp, fn, tn = self.counts_at(cutoffs)
+        return _f1_on_counts(tp, fp, fn), _p4_on_counts(tp, fp, fn, tn)
+
+    def best_cutoffs(self) -> tuple[CutoffResult, CutoffResult]:
+        """The F1 and the P4 cutoff, each the first grid point (the
+        smallest cutoff) where its metric peaks."""
+        scores = self.scores_at(_GRID)
+        best = [int(np.argmax(s)) for s in scores]
+        return tuple(CutoffResult(theta=float(_GRID[k]), score=float(s[k])) for s, k in zip(scores, best))
 
 
 def _rank(probs, labels, weights) -> _Ranking:
@@ -172,19 +173,12 @@ def _rank(probs, labels, weights) -> _Ranking:
     return _Ranking(ranked[starts], below)
 
 
-def confusions(probs, labels, thetas, weights=None) -> tuple[ConfusionMatrix, ...]:
-    """The confusion matrix at each cutoff (positive when prob >= theta),
-    in the order given, from one ranking of the scores.  A NaN cutoff is
-    refused: no score is at or above it, nor below it."""
-    theta = np.asarray(thetas, dtype=float)
-    if np.isnan(theta).any():
-        raise ValueError("cutoffs must not be NaN")
-    return tuple(map(ConfusionMatrix, *_rank(probs, labels, weights).counts_at(theta).tolist()))
-
-
 def confusion(probs, labels, theta: float, weights=None) -> ConfusionMatrix:
-    """Tally the confusion matrix at one cutoff (positive when prob >= theta)."""
-    return confusions(probs, labels, (theta,), weights)[0]
+    """Tally the confusion matrix at one cutoff (positive when prob >= theta).
+    A NaN cutoff is refused: no score is at or above it, nor below it."""
+    if theta != theta:
+        raise ValueError("cutoff must not be NaN")
+    return ConfusionMatrix(*_rank(probs, labels, weights).counts_at((theta,))[:, 0].tolist())
 
 
 def f1(cm: ConfusionMatrix) -> float:
@@ -210,18 +204,11 @@ def gini(probs, labels, weights=None) -> float:
     return _rank(probs, labels, weights).gini()
 
 
-def optimize_cutoffs(probs, labels, metric_ids, *, weights=None) -> tuple[CutoffResult, ...]:
-    """Search ``default_cutoff_grid()`` for the cutoff maximizing each of
-    ``metric_ids`` (F1 or P4, in the order given) from one ranking of the scores.
-
-    Ties resolve deterministically to the smallest maximizing grid point.
-    """
-    return _rank(probs, labels, weights).best_cutoffs(metric_ids)
-
-
 def optimize_cutoff(probs, labels, metric_id: str, *, weights=None) -> CutoffResult:
     """Search ``default_cutoff_grid()`` for the cutoff maximizing F1 or P4.
 
     Ties resolve deterministically to the smallest maximizing grid point.
     """
-    return optimize_cutoffs(probs, labels, (metric_id,), weights=weights)[0]
+    if metric_id not in (METRIC_F1, METRIC_P4):
+        raise ValueError(f"unknown metric_id {metric_id!r} (expected 'f1' or 'p4')")
+    return _rank(probs, labels, weights).best_cutoffs()[(METRIC_F1, METRIC_P4).index(metric_id)]

@@ -181,12 +181,16 @@ def test_readme_file_formats_match_written_headers(tmp_path):
     section = README.read_text(encoding="utf-8").split("## File formats", 1)[1].split("\n## ", 1)[0]
     documented = {
         name: re.search(rf"\*\*{name} CSV\*\*[^`]*`([^`]+)`", section).group(1)
-        for name in ("Results", "Summary")
+        for name in ("Results", "Summary", "Guideline")
     }
     written = {}
-    for name, save in (("Results", io.save_results_csv), ("Summary", io.save_summary_csv)):
+    for name, save, empty in (
+        ("Results", io.save_results_csv, []),
+        ("Summary", io.save_summary_csv, []),
+        ("Guideline", io.save_guideline_csv, ws.guideline_table({})),
+    ):
         path = tmp_path / f"{name}.csv"
-        save([], path)
+        save(empty, path)
         written[name] = path.read_text(encoding="utf-8").rstrip("\r\n")
     assert documented == written
 
@@ -281,6 +285,20 @@ class TestCli:
             {"name": "X1", "p_event": [0.6, 0.5], "p_nonevent": [0.5, 0.5]}
         ]}))
         assert cli.main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{path}"],
+        ["run", "--config", "{path}", "--sizes", "50", "--iters", "1", "--out", "{dir}/r.csv"],
+    ], ids=["validate", "run"])
+    def test_huge_integer_probability_exits_2_naming_it(self, tmp_path, capsys, argv):
+        # float() of a 401-digit integer raised OverflowError: a traceback, exit 1
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"id": "x", "predictors": [{"name": "X1", "p_event": [0.5, 1' + "0" * 400 + '], '
+            '"p_nonevent": [0.5, 0.5]}]}'
+        )
+        assert cli.main([a.format(path=path, dir=tmp_path) for a in argv]) == 2
+        assert "predictors[0].p_event[1]" in capsys.readouterr().err
 
     def test_run_summarize_report_pipeline(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
@@ -563,7 +581,9 @@ class TestCli:
             for i, m in enumerate(medians)
         ]
         summary, chart = tmp_path / "summary.csv", tmp_path / "c.svg"
-        io.save_summary_csv(rows, summary)
+        # written as save_summary_csv writes, which refuses an infinity
+        with open(summary, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([ws.SummaryRecord._fields, *rows])
         code = cli.main(["report", "--in", str(summary), "--cell", "B:f1:test", "--out", str(chart)])
         return code, chart
 

@@ -51,8 +51,6 @@ class TestConfusion:
         # negative: confusion((0.2, 0.9), (0, 1), nan) gave tp=0 fp=0 fn=1 tn=1
         with pytest.raises(ValueError, match="NaN"):
             ws.confusion((0.2, 0.9), (0, 1), np.nan)
-        with pytest.raises(ValueError, match="NaN"):
-            ws.metrics.confusions((0.2, 0.9), (0, 1), (0.5, np.nan))
 
 
 class TestF1:
@@ -207,7 +205,11 @@ class TestOptimizeCutoff:
             labels[0], labels[1] = 1, 0
             probs = np.round(gen.random(n), 2)
             result = ws.optimize_cutoff(probs, labels, metric)
-            scores = [scorer(cm) for cm in ws.metrics.confusions(probs, labels, grid)]
+            # every grid point's counts by direct comparison, one row each
+            pos, events = probs >= grid[:, None], labels == 1
+            masks = (pos & events, pos & ~events, ~pos & events, ~pos & ~events)
+            counts = zip(*(mask.sum(axis=1).tolist() for mask in masks))
+            scores = [scorer(ws.ConfusionMatrix(*cm)) for cm in counts]
             best = 0
             for k, score in enumerate(scores):
                 if score > scores[best]:  # strictly larger: the first maximum stays
@@ -222,8 +224,6 @@ class TestOptimizeCutoff:
         with pytest.raises(TypeError):
             ws.optimize_cutoff(probs, labels, "f1", [0.1, 0.5])
         with pytest.raises(TypeError):
-            ws.metrics.optimize_cutoffs(probs, labels, ("f1",), [0.1, 0.5])
-        with pytest.raises(TypeError):
             ws.optimize_cutoff(probs, labels, "f1", grid=[0.1, 0.5])
         with pytest.raises(ValueError):
             ws.optimize_cutoff(probs, labels, "bogus")
@@ -232,6 +232,12 @@ class TestOptimizeCutoff:
         grid = ws.default_cutoff_grid()
         assert len(grid) == 999
         assert grid[0] == 0.001 and grid[-1] == 0.999
+        # each call gives a fresh, writable copy; the search never reads it
+        probs, labels = np.array([0.05, 0.3, 0.6, 0.9]), np.array([0, 1, 0, 1])
+        before = ws.optimize_cutoff(probs, labels, "f1")
+        grid[:] = 0.5
+        assert ws.default_cutoff_grid()[0] == 0.001
+        assert ws.optimize_cutoff(probs, labels, "f1") == before
 
 
 # each metric once, on three rows whose last label is replaced

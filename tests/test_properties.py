@@ -7,8 +7,8 @@ estimate, the fit and the metrics, so each of them must agree with the
 unweighted call on the rows the weights stand for.  The fit's Newton
 step solves as ``np.linalg.solve`` does and falls back to least squares
 exactly where that raises.  The results and summary CSVs round-trip
-any record without an infinity and refuse one with, naming its line and
-column; the config synthesiser either hits its target or says it
+any record without an infinity; the savers refuse one with, naming its
+column and record, and the loaders too, naming its line and column; the config synthesiser either hits its target or says it
 cannot, a sampling plan holds floor(rate * n) events or one flagged
 event, the sampler consumes its stream in the documented order, the
 grid's records do not depend on the schedule, each of them is the one
@@ -17,11 +17,13 @@ the one ``np.quantile`` gives on its field alone.
 The sampler's guide-table lookup gives the bins a per-(predictor, class)
 ``searchsorted`` gives, on cdf and bucket edges too, a split drawn
 straight into cells holds the cell counts of the rows ``generate_sample``
-draws from the same stream, and the batched cutoff search and confusion
-count give what one call per metric or cutoff gives and what masked
-weight sums at each cutoff, which sort nothing, give.
+draws from the same stream, and the cutoff search, counts and F1/P4
+scores the engine reads off a split's ranking give what one public call
+per metric or cutoff gives and what masked weight sums at each cutoff,
+which sort nothing, give.
 """
 
+import csv
 import math
 import tempfile
 import typing
@@ -37,7 +39,7 @@ from hypothesis import strategies as st
 import woesim as ws
 from woesim import engine, io, scorecard
 from woesim.configs import _GUIDE_BUCKETS, PROB_FLOOR, GuideTable, bin_cdf
-from woesim.metrics import CutoffResult, confusions, optimize_cutoffs
+from woesim.metrics import CutoffResult, _rank
 
 GRID = ws.default_cutoff_grid()
 
@@ -114,20 +116,23 @@ def cutoff_lists(draw):
     return thetas
 
 
-@given(scores_with_nans(), st.lists(st.sampled_from([ws.METRIC_F1, ws.METRIC_P4]), min_size=1, max_size=3))
-def test_optimize_cutoffs_equals_one_search_per_metric(data, metric_ids):
+@given(scores_with_nans())
+def test_optimize_cutoffs_equals_one_search_per_metric(data):
+    # the engine's one search gives the F1 cutoff, then the P4 cutoff
     probs, labels, weights = data
-    assert optimize_cutoffs(probs, labels, metric_ids, weights=weights) == tuple(
-        ws.optimize_cutoff(probs, labels, metric, weights=weights) for metric in metric_ids
+    assert _rank(probs, labels, weights).best_cutoffs() == tuple(
+        ws.optimize_cutoff(probs, labels, metric, weights=weights)
+        for metric in (ws.METRIC_F1, ws.METRIC_P4)
     )
 
 
 @given(scores_with_nans(), cutoff_lists())
 def test_confusions_equals_one_count_per_cutoff(data, thetas):
     probs, labels, weights = data
-    assert confusions(probs, labels, thetas, weights) == tuple(
+    counts = _rank(probs, labels, weights).counts_at(thetas)
+    assert [ws.ConfusionMatrix(*column) for column in counts.T.tolist()] == [
         ws.confusion(probs, labels, theta, weights) for theta in thetas
-    )
+    ]
 
 
 @st.composite
@@ -153,30 +158,33 @@ def tally(probs, labels, weights, theta) -> list[int]:
             (pos & events, pos & ~events, ~pos & events, ~pos & ~events)]
 
 
-@given(tallied_cutoffs())
-def test_confusions_equal_a_direct_tally_at_each_cutoff(data):
-    (probs, labels, weights), thetas = data
-    assert [[cm.tp, cm.fp, cm.fn, cm.tn] for cm in confusions(probs, labels, thetas, weights)] == [
-        tally(probs, labels, weights, theta) for theta in thetas
-    ]
-
-
-@given(scores_with_nans())
-def test_optimize_cutoffs_equal_the_first_argmax_over_tallies_on_the_grid(data):
-    probs, labels, weights = data
-    counts = [tally(probs, labels, weights, theta) for theta in GRID]
+def tallied_scores(counts) -> tuple[list[float], list[float]]:
+    """F1 and P4 from each (tp, fp, fn, tn) tally, 0 where 0/0."""
     f1s = [2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0 for tp, fp, fn, _ in counts]
     p4s = [
         4 * tp * tn / den if (den := 4 * tp * tn + (tp + tn) * (fp + fn)) else 0.0
         for tp, fp, fn, tn in counts
     ]
+    return f1s, p4s
+
+
+@given(tallied_cutoffs())
+def test_confusions_equal_a_direct_tally_at_each_cutoff(data):
+    (probs, labels, weights), thetas = data
+    ranking = _rank(probs, labels, weights)
+    counts = [tally(probs, labels, weights, theta) for theta in thetas]
+    assert ranking.counts_at(thetas).T.tolist() == counts
+    assert [s.tolist() for s in ranking.scores_at(thetas)] == list(tallied_scores(counts))
+
+
+@given(scores_with_nans())
+def test_optimize_cutoffs_equal_the_first_argmax_over_tallies_on_the_grid(data):
+    probs, labels, weights = data
     expected = []
-    for scores in (f1s, p4s):
+    for scores in tallied_scores([tally(probs, labels, weights, theta) for theta in GRID]):
         best = scores.index(max(scores))  # the first maximum, the smallest cutoff
         expected.append(CutoffResult(theta=float(GRID[best]), score=scores[best]))
-    assert optimize_cutoffs(probs, labels, (ws.METRIC_F1, ws.METRIC_P4), weights=weights) == tuple(
-        expected
-    )
+    assert _rank(probs, labels, weights).best_cutoffs() == tuple(expected)
 
 
 @st.composite
@@ -212,7 +220,7 @@ def cell_totals(sample) -> dict:
 
 @given(binned_samples(weighted=True))
 def test_weighted_woe_equals_replicated_rows(sample):
-    # weighted rows give the WoE table, fit, cutoffs, confusions and Gini
+    # weighted rows give the WoE table, fit, cutoffs, confusion counts and Gini
     # of the rows they stand for, as ``run_iteration`` computes each
     rows = expand(sample)
     table = ws.estimate_woe(sample)
@@ -230,12 +238,12 @@ def test_weighted_woe_equals_replicated_rows(sample):
     probs = ws.predict_proba(model, F)
     row_probs = np.repeat(probs, sample.w)
     row_labels = np.repeat(sample.Y, sample.w)
-    both = (ws.METRIC_F1, ws.METRIC_P4)
-    cuts = optimize_cutoffs(probs, sample.Y, both, weights=sample.w)
-    assert cuts == optimize_cutoffs(row_probs, row_labels, both)
+    ranking, row_ranking = _rank(probs, sample.Y, sample.w), _rank(row_probs, row_labels, None)
+    cuts = ranking.best_cutoffs()
+    assert cuts == row_ranking.best_cutoffs()
     thetas = [cut.theta for cut in cuts]
-    assert confusions(probs, sample.Y, thetas, sample.w) == confusions(row_probs, row_labels, thetas)
-    assert ws.gini(probs, sample.Y, sample.w) == ws.gini(row_probs, row_labels)
+    assert ranking.counts_at(thetas).tolist() == row_ranking.counts_at(thetas).tolist()
+    assert ranking.gini() == row_ranking.gini()
 
 
 @given(binned_samples(), st.data())
@@ -382,13 +390,39 @@ def test_csv_load_refuses_an_infinity_naming_its_line_and_column(cls, save, load
     records = data.draw(_records_of(cls).filter(bool))
     floats = [name for name, kind in typing.get_type_hints(cls).items() if kind is float]
     column = data.draw(st.sampled_from(floats))
-    records[0] = records[0]._replace(**{column: data.draw(st.sampled_from([math.inf, -math.inf]))})
+    value = data.draw(st.sampled_from([math.inf, -math.inf]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "records.csv")
+        # the saver refuses an infinity, so it goes into the written text
         save(records, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][cls._fields.index(column)] = repr(value)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
         # the first record's row starts on line 2, however many lines it spans
         with pytest.raises(ws.SchemaError, match=f"line 2, column {column!r}: infinite value"):
             load(path)
+
+
+@pytest.mark.parametrize(
+    "cls, save",
+    [(ws.IterationRecord, io.save_results_csv), (ws.SummaryRecord, io.save_summary_csv)],
+    ids=["results", "summary"],
+)
+@given(data=st.data())
+def test_csv_save_refuses_an_infinity_naming_its_column_and_record(cls, save, data):
+    # a file the savers write is one the loaders read: they refuse an infinity
+    records = data.draw(_records_of(cls).filter(bool))
+    floats = [name for name, kind in typing.get_type_hints(cls).items() if kind is float]
+    column = data.draw(st.sampled_from(floats))
+    at = data.draw(st.integers(0, len(records) - 1))
+    value = data.draw(st.sampled_from([math.inf, -math.inf]))
+    records[at] = records[at]._replace(**{column: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError) as refused:
+            save(records, Path(tmp, "records.csv"))
+    assert str(refused.value).endswith(f"column {column!r} is infinite in {records[at]!r}")
 
 
 @given(

@@ -19,9 +19,7 @@ from .configs import (
     aggregate_iv,
     aiv_joint,
     bayes_posterior,
-    information_value,
     iv_between,
-    population_woe,
     synthesize_config,
 )
 from .curve import CurveFit, fit_logistic_curve, guideline_table

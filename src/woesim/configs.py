@@ -216,9 +216,6 @@ class EventRate:
     def pi0(self) -> float:
         return 1.0 - self.pi1
 
-    def logit(self) -> float:
-        return math.log(self.pi1 / (1.0 - self.pi1))
-
 
 @dataclass(frozen=True)
 class IvReport:
@@ -226,28 +223,6 @@ class IvReport:
 
     ivs: tuple[float, ...]
     aiv: float
-
-
-def _predictor(config: ConfigSpec, j: int) -> PredictorSpec:
-    if not 1 <= j <= config.n_predictors:
-        raise IndexError(
-            f"predictor index {j} out of range 1..{config.n_predictors} "
-            f"for config {config.id!r}"
-        )
-    return config.predictors[j - 1]
-
-
-def population_woe(config: ConfigSpec, j: int, k: int) -> float:
-    """Population weight of evidence of bin k of predictor j (1-based).
-
-    Defined as ln(p_nonevent / p_event); positive entries keep it finite.
-    """
-    pred = _predictor(config, j)
-    if not 1 <= k <= pred.n_bins:
-        raise IndexError(
-            f"bin index {k} out of range 1..{pred.n_bins} for predictor {pred.name!r}"
-        )
-    return float(pred.woe()[k - 1])
 
 
 def iv_between(p_event: Sequence[float], p_nonevent: Sequence[float]) -> float:
@@ -260,12 +235,6 @@ def iv_between(p_event: Sequence[float], p_nonevent: Sequence[float]) -> float:
     return math.fsum(
         (p0 - p1) * math.log(p0 / p1) for p0, p1 in zip(p_nonevent, p_event)
     )
-
-
-def information_value(config: ConfigSpec, j: int) -> float:
-    """Information value of predictor j (1-based), in nats."""
-    pred = _predictor(config, j)
-    return iv_between(pred.p_event, pred.p_nonevent)
 
 
 def aggregate_iv(config: ConfigSpec) -> IvReport:
@@ -285,14 +254,11 @@ def aiv_joint(config: ConfigSpec) -> float:
     conditionals.  Serves as the independent cross-check of the
     sum-of-IVs decomposition used by :func:`aggregate_iv`.
     """
-    cells = 1
-    for pred in config.predictors:
-        cells *= pred.n_bins
-        if cells > JOINT_ENUMERATION_LIMIT:
-            raise EnumerationLimitError(
-                f"config {config.id!r}: joint enumeration needs more than "
-                f"{JOINT_ENUMERATION_LIMIT} cells"
-            )
+    if math.prod(config.bin_counts) > JOINT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"config {config.id!r}: joint enumeration needs more than "
+            f"{JOINT_ENUMERATION_LIMIT} cells"
+        )
     q1 = np.ones(1)
     q0 = np.ones(1)
     for pred in config.predictors:
@@ -386,6 +352,10 @@ def synthesize_config(
         raise ConfigError(f"target_aiv must be finite and positive, got {target_aiv}")
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if config_id is None:
+        config_id = f"synth-d{d}-aiv{target_aiv:g}"
+    elif not config_id:
+        raise ConfigError("config id must be nonempty")
 
     gen = rng.generator()
     per_target = target_aiv / d
@@ -424,8 +394,7 @@ def synthesize_config(
             )
         )
 
-    cid = config_id or f"synth-d{d}-aiv{target_aiv:g}"
-    config = ConfigSpec(id=cid, predictors=tuple(predictors))
+    config = ConfigSpec(id=config_id, predictors=tuple(predictors))
     achieved = aggregate_iv(config).aiv
     if abs(achieved - target_aiv) > tol:
         raise TargetUnreachable(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -47,6 +47,14 @@ SUMMARY_FIELDS = (
 )
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as a Python int; a float or other non-integer is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SpecError(f"{field} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Full description of one study run."""
@@ -61,7 +69,10 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "configs", tuple(self.configs))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer("sizes", n) for n in self.sizes))
+        object.__setattr__(self, "iterations", _integer("iterations", self.iterations))
+        if self.fixed_events is not None:
+            object.__setattr__(self, "fixed_events", _integer("fixed_events", self.fixed_events))
         # EventRate refuses a rate outside (0, 1)
         object.__setattr__(self, "rates", tuple(EventRate(r).pi1 for r in self.rates))
         if not self.configs:
@@ -233,7 +244,7 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
     iteration's randomness is an addressable function of (master_seed,
     iteration, role).
     """
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise SpecError(f"workers must be at least 1, got {workers}")
     tasks = [(spec, config, plan) for config, plan in _plans_for(spec)]
     # a process pool may start every worker at its first submit, so never

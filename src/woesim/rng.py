@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,15 +10,18 @@ import numpy as np
 from .errors import SpecError
 
 _MASK64 = (1 << 64) - 1
+#: The types a seed or an iteration may take: Python and numpy integers.
+_INTEGERS = (int, np.integer)
 
 # Fixed tags; changing them would silently reseed every recorded run.
 ROLE_TAGS = {"train": 1, "val": 2, "test": 3, "synth": 4}
 
 
 def check_master_seed(master_seed: int) -> None:
-    """Refuse a master seed outside [0, 2**64), which masking would alias."""
-    if not 0 <= master_seed <= _MASK64:
-        raise SpecError(f"master seed must lie in [0, 2**64), got {master_seed}")
+    """Refuse a master seed that is not an integer in [0, 2**64): masking
+    would alias a larger one, and a float has no bits to mix."""
+    if not isinstance(master_seed, _INTEGERS) or not 0 <= master_seed <= _MASK64:
+        raise SpecError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
 
 
 def splitmix64(z: int) -> int:
@@ -32,8 +36,8 @@ def substream_seed(master_seed: int, iteration: int, role: str) -> int:
     """Derive the 64-bit sub-stream seed for (master_seed, iteration, role)."""
     if role not in ROLE_TAGS:
         raise ValueError(f"unknown stream role {role!r}")
-    h = splitmix64(master_seed & _MASK64)
-    h = splitmix64(h ^ (iteration & _MASK64))
+    h = splitmix64(operator.index(master_seed) & _MASK64)
+    h = splitmix64(h ^ (operator.index(iteration) & _MASK64))
     return splitmix64(h ^ ROLE_TAGS[role])
 
 
@@ -54,8 +58,8 @@ class RngStream:
         check_master_seed(self.master_seed)
         if self.role not in ROLE_TAGS:
             raise ValueError(f"unknown stream role {self.role!r}")
-        if self.iteration < 0:
-            raise ValueError("iteration must be nonnegative")
+        if not isinstance(self.iteration, _INTEGERS) or self.iteration < 0:
+            raise ValueError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
     @property
     def seed(self) -> int:

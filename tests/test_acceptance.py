@@ -5,9 +5,11 @@ The two Monte Carlo fixtures are session-scoped and shared by the
 criteria that read them; all randomness is pinned.
 """
 
+import bisect
 import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,13 @@ GUIDELINE_ROW_1PCT = (0.06, 0.07, 0.09, 0.11, 0.13, 0.16, 0.19, 0.23,
 GUIDELINE_5PCT_AT_2 = 0.32
 GUIDELINE_5PCT_AT_2_5 = 0.36
 
+# how far config B's n=2500 medians may fall short of (criteria 14, 15) or
+# stray from (criterion 16) the exact population limits; each is the worst
+# gap at ACCEPTANCE_SEED (0.0366, 0.0399, 0.0100) plus a margin of 0.01
+POPULATION_GINI_SHORTFALL = 0.05
+POPULATION_F1_SHORTFALL = 0.05
+POPULATION_CUTOFF_DISTANCE = 0.02
+
 
 def verdict(number: int, description: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number:2d}: {'PASS' if ok else 'FAIL'} - {description}")
@@ -58,6 +67,68 @@ def run_b_fixed_events():
         master_seed=ACCEPTANCE_SEED, fixed_events=25,
     )
     return ws.summarize(ws.run_grid(spec, workers=4))
+
+
+def joint_cells(config, rate):
+    """Every joint cell with its exact event and nonevent population mass,
+    pi1 * prod(p_event) and pi0 * prod(p_nonevent), as ``bayes_posterior``
+    forms them: the oracle shares no float kernel with the engine."""
+    for cell in itertools.product(*(range(1, p.n_bins + 1) for p in config.predictors)):
+        events, nonevents = Fraction(rate.pi1), Fraction(rate.pi0)
+        for pred, k in zip(config.predictors, cell):
+            events *= Fraction(pred.p_event[k - 1])
+            nonevents *= Fraction(pred.p_nonevent[k - 1])
+        yield cell, events, nonevents
+
+
+def population_gini(config, rate):
+    """Somers' D of the Bayes scorer over the population: cells ranked by
+    exact posterior, a tied pair counted in the denominator only."""
+    groups = {}
+    for _, events, nonevents in joint_cells(config, rate):
+        group = groups.setdefault(events / (events + nonevents), [0, 0])
+        group[0] += events
+        group[1] += nonevents
+    total_events = sum(events for events, _ in groups.values())
+    total_nonevents = sum(nonevents for _, nonevents in groups.values())
+    lead, below = Fraction(0), Fraction(0)
+    for posterior in sorted(groups):
+        events, nonevents = groups[posterior]
+        # events here outrank the nonevents below and trail those above
+        lead += events * (below - (total_nonevents - below - nonevents))
+        below += nonevents
+    return lead / (total_events * total_nonevents)
+
+
+def population_best_f1(config, rate):
+    """The Bayes scorer's best population F1 over ``default_cutoff_grid()``
+    and the first grid cutoff reaching it.  A cell is positive when its float
+    ``bayes_posterior`` is >= the cutoff, the engine's rule."""
+    posteriors, events, nonevents = zip(*sorted(
+        (ws.bayes_posterior(config, rate, cell), events, nonevents)
+        for cell, events, nonevents in joint_cells(config, rate)
+    ))
+    # the event and nonevent mass of the cells from index i up
+    tp = list(itertools.accumulate(reversed(events), initial=0))[::-1]
+    fp = list(itertools.accumulate(reversed(nonevents), initial=0))[::-1]
+    best = (Fraction(-1), None)
+    for cutoff in ws.default_cutoff_grid():
+        at = bisect.bisect_left(posteriors, cutoff)
+        # F1 = 2 tp / (2 tp + fp + fn), where tp + fn is every event
+        f1 = 2 * tp[at] / (tp[at] + fp[at] + tp[0])
+        if f1 > best[0]:
+            best = (f1, float(cutoff))
+    return best
+
+
+@pytest.fixture(scope="session")
+def population_b():
+    """Config B's exact Gini and best grid F1 with its cutoff, per rate."""
+    rates = {pi1: ws.EventRate(pi1) for pi1 in (0.01, 0.05, 0.10)}
+    return (
+        {pi1: population_gini(ws.CONFIG_B, rate) for pi1, rate in rates.items()},
+        {pi1: population_best_f1(ws.CONFIG_B, rate) for pi1, rate in rates.items()},
+    )
 
 
 def median_of(summary, metric, split, rate=None, n=None):
@@ -92,8 +163,8 @@ def test_criterion_02_log_odds_identity():
             for cell in itertools.product(*ranges):
                 post = ws.bayes_posterior(config, rate, cell)
                 lhs = math.log(post / (1.0 - post))
-                rhs = rate.logit() - sum(
-                    ws.population_woe(config, j + 1, k) for j, k in enumerate(cell)
+                rhs = math.log(rate.pi1 / rate.pi0) - sum(
+                    config.predictors[j].woe()[k - 1] for j, k in enumerate(cell)
                 )
                 worst = max(worst, abs(lhs - rhs))
     verdict(2, f"posterior log-odds identity residual {worst:.2e} < 1e-12 on every cell", worst < 1e-12)
@@ -247,6 +318,49 @@ def test_criterion_12_determinism(tmp_path):
 
 def test_criterion_13_scope_note():
     # the gate intentionally claims identities, oracles, and trend bands
-    # (criteria 1-12) rather than exact reproduction of any external run,
-    # whose RNG and grid conventions are unknown
+    # (criteria 1-12, 14-16) rather than exact reproduction of any
+    # external run, whose RNG and grid conventions are unknown
     verdict(13, "figure-level exactness not claimed; identities and trend bands carry the gate", True)
+
+
+def test_criterion_14_gini_below_population_limit(run_b_2500, population_b):
+    ginis, _ = population_b
+    limit = ginis[0.01]
+    gaps = [float(limit) - median_of(run_b_2500, "gini", "test", rate=rate) for rate in ginis]
+    verdict(
+        14,
+        f"population Gini {float(limit):.5f} is one Fraction at every rate; median test Gini "
+        f"falls short of it by 0..{POPULATION_GINI_SHORTFALL} per rate "
+        f"(gaps {[round(g, 4) for g in gaps]})",
+        all(gini == limit for gini in ginis.values())
+        and all(0.0 < g <= POPULATION_GINI_SHORTFALL for g in gaps),
+    )
+
+
+def test_criterion_15_f1_shortfall_shrinks_with_rate(run_b_2500, population_b):
+    _, best = population_b
+    gaps = [
+        float(f1) - median_of(run_b_2500, "f1", "test", rate=rate)
+        for rate, (f1, _) in best.items()
+    ]
+    verdict(
+        15,
+        f"median test F1 falls short of population F1 "
+        f"{[round(float(f1), 5) for f1, _ in best.values()]} by 0..{POPULATION_F1_SHORTFALL}, "
+        f"less at each higher rate (gaps {[round(g, 4) for g in gaps]})",
+        all(0.0 < g <= POPULATION_F1_SHORTFALL for g in gaps) and gaps[0] > gaps[1] > gaps[2],
+    )
+
+
+def test_criterion_16_cutoff_near_population_optimum(run_b_2500, population_b):
+    _, best = population_b
+    gaps = [
+        abs(median_of(run_b_2500, "theta_f1", "val", rate=rate) - cutoff)
+        for rate, (_, cutoff) in best.items()
+    ]
+    verdict(
+        16,
+        f"median validation F1 cutoff within {POPULATION_CUTOFF_DISTANCE} of population "
+        f"cutoff {[cutoff for _, cutoff in best.values()]} (gaps {[round(g, 4) for g in gaps]})",
+        all(g <= POPULATION_CUTOFF_DISTANCE for g in gaps),
+    )

@@ -53,41 +53,32 @@ class TestValidation:
 class TestPopulationWoe:
     def test_config_a_x1_bin1(self):
         # p_event 0.40 vs p_nonevent 0.30
-        assert ws.population_woe(ws.CONFIG_A, 1, 1) == pytest.approx(math.log(0.75), abs=1e-12)
-        assert ws.population_woe(ws.CONFIG_A, 1, 1) == pytest.approx(-0.28768, abs=5e-6)
+        woe = ws.CONFIG_A.predictors[0].woe()[0]
+        assert woe == pytest.approx(math.log(0.75), abs=1e-12)
+        assert woe == pytest.approx(-0.28768, abs=5e-6)
 
     def test_equal_conditionals_give_zero(self):
-        cfg = ws.ConfigSpec(id="flat", predictors=(make_predictor((0.3, 0.7), (0.3, 0.7)),))
-        assert ws.population_woe(cfg, 1, 1) == 0.0
-        assert ws.population_woe(cfg, 1, 2) == 0.0
+        assert make_predictor((0.3, 0.7), (0.3, 0.7)).woe().tolist() == [0.0, 0.0]
 
     def test_config_c_x1_bin3(self):
-        assert ws.population_woe(ws.CONFIG_C, 1, 3) == pytest.approx(math.log(7.5), abs=1e-12)
-        assert ws.population_woe(ws.CONFIG_C, 1, 3) == pytest.approx(2.01490, abs=5e-6)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            ws.population_woe(ws.CONFIG_A, 0, 1)
-        with pytest.raises(IndexError):
-            ws.population_woe(ws.CONFIG_A, 5, 1)
-        with pytest.raises(IndexError):
-            ws.population_woe(ws.CONFIG_A, 1, 4)  # X1 has 3 bins
+        woe = ws.CONFIG_C.predictors[0].woe()[2]
+        assert woe == pytest.approx(math.log(7.5), abs=1e-12)
+        assert woe == pytest.approx(2.01490, abs=5e-6)
 
 
 class TestInformationValue:
     def test_config_a_values(self):
-        assert ws.information_value(ws.CONFIG_A, 1) == pytest.approx(0.0770, abs=5e-4)
-        assert ws.information_value(ws.CONFIG_A, 2) == pytest.approx(0.1288, abs=5e-4)
+        x1, x2 = ws.CONFIG_A.predictors[:2]
+        assert ws.iv_between(x1.p_event, x1.p_nonevent) == pytest.approx(0.0770, abs=5e-4)
+        assert ws.iv_between(x2.p_event, x2.p_nonevent) == pytest.approx(0.1288, abs=5e-4)
 
     def test_independent_predictor_has_zero_iv(self):
-        cfg = ws.ConfigSpec(id="flat", predictors=(make_predictor((0.3, 0.7), (0.3, 0.7)),))
-        assert ws.information_value(cfg, 1) == 0.0
+        assert ws.iv_between((0.3, 0.7), (0.3, 0.7)) == 0.0
 
     def test_nonnegative_with_equality_iff_identical(self):
         for cfg in ws.BUILTIN_CONFIGS.values():
-            for j in range(1, cfg.n_predictors + 1):
-                iv = ws.information_value(cfg, j)
-                pred = cfg.predictors[j - 1]
+            for pred in cfg.predictors:
+                iv = ws.iv_between(pred.p_event, pred.p_nonevent)
                 if pred.p_event == pred.p_nonevent:
                     assert iv == 0.0
                 else:
@@ -104,7 +95,8 @@ class TestAggregateIv:
     def test_single_predictor_aiv_equals_iv(self):
         cfg = ws.ConfigSpec(id="one", predictors=(make_predictor((0.2, 0.8), (0.6, 0.4)),))
         report = ws.aggregate_iv(cfg)
-        assert report.aiv == ws.information_value(cfg, 1)
+        (p,) = cfg.predictors
+        assert report.aiv == ws.iv_between(p.p_event, p.p_nonevent)
         assert report.ivs == (report.aiv,)
 
     def test_aiv_is_sum_of_ivs(self):
@@ -116,7 +108,7 @@ class TestAggregateIv:
         for cfg in ws.BUILTIN_CONFIGS.values():
             report = ws.aggregate_iv(cfg)
             assert ws.aggregate_iv(cfg) is report
-            ivs = tuple(ws.information_value(cfg, j) for j in range(1, cfg.n_predictors + 1))
+            ivs = tuple(ws.iv_between(p.p_event, p.p_nonevent) for p in cfg.predictors)
             assert report.ivs == ivs and report.aiv == math.fsum(ivs)
             assert ws.aggregate_iv(pickle.loads(pickle.dumps(cfg))) == report
         two = dataclasses.replace(ws.CONFIG_A, predictors=ws.CONFIG_A.predictors[:2])
@@ -147,7 +139,8 @@ class TestAivJoint:
 
     def test_single_predictor_matches_iv(self):
         cfg = ws.ConfigSpec(id="one", predictors=(make_predictor((0.2, 0.8), (0.6, 0.4)),))
-        assert ws.aiv_joint(cfg) == pytest.approx(ws.information_value(cfg, 1), abs=1e-15)
+        (p,) = cfg.predictors
+        assert ws.aiv_joint(cfg) == pytest.approx(ws.iv_between(p.p_event, p.p_nonevent), abs=1e-15)
 
     def test_equals_sum_decomposition(self):
         for cfg in ws.BUILTIN_CONFIGS.values():
@@ -187,8 +180,8 @@ class TestBayesPosterior:
         for cell in itertools.product(*ranges):
             post = ws.bayes_posterior(ws.CONFIG_A, rate, cell)
             lhs = math.log(post / (1.0 - post))
-            rhs = rate.logit() - sum(
-                ws.population_woe(ws.CONFIG_A, j + 1, k) for j, k in enumerate(cell)
+            rhs = math.log(rate.pi1 / rate.pi0) - sum(
+                pred.woe()[k - 1] for pred, k in zip(ws.CONFIG_A.predictors, cell)
             )
             assert abs(lhs - rhs) < 1e-12
 
@@ -252,6 +245,17 @@ class TestSynthesizeConfig:
         # used to accept any AIV, 0.34 for a target of 1
         with pytest.raises(ws.ConfigError, match="tol"):
             ws.synthesize_config(2, (4, 4), 1.0, math.inf, ws.RngStream(1, 0, "synth"))
+
+    def test_empty_id_refused_before_drawing(self):
+        # used to fall back to the default id, as if none had been given
+        class NoDraws:
+            def generator(self):
+                pytest.fail("drew variates for a refused id")
+
+        with pytest.raises(ws.ConfigError, match="id must be nonempty"):
+            ws.synthesize_config(2, (4, 4), 1.0, 0.05, NoDraws(), config_id="")
+        cfg = ws.synthesize_config(2, (4, 4), 1.0, 0.05, ws.RngStream(3, 0, "synth"))
+        assert cfg.id == "synth-d2-aiv1"
 
     def test_reproducible(self):
         a = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))

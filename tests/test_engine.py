@@ -86,6 +86,37 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="master seed"):
             small_spec(master_seed=seed)
 
+    @pytest.mark.parametrize(
+        "start, field",
+        [
+            (lambda: small_spec(iterations=2.5), "iterations"),
+            (lambda: small_spec(master_seed=1.5), "master seed"),
+            (lambda: small_spec(fixed_events=2.5), "fixed_events"),
+            (lambda: small_spec(sizes=(60.7,)), "sizes"),
+            (lambda: ws.run_grid(small_spec(sizes=(60, 80, 100)), workers=2.5), "workers"),
+            (lambda: ws.RngStream(1, 1.5, "train"), "iteration"),
+        ],
+        ids=["iterations", "master_seed", "fixed_events", "sizes", "workers", "rng_iteration"],
+    )
+    def test_non_integer_refused_before_any_cell_runs(self, monkeypatch, start, field):
+        # each used to be accepted, then end the run in a TypeError, or for
+        # a float size, run and record the truncated n=60
+        monkeypatch.setattr(engine, "_run_cell", lambda task: pytest.fail("a cell ran"))
+        error = ValueError if field == "iteration" else ws.SpecError
+        with pytest.raises(error, match=f"{field} must be .*integer"):
+            start()
+
+    def test_numpy_integers_accepted(self):
+        spec = small_spec(
+            sizes=(np.int64(60),), iterations=np.int32(2), master_seed=np.uint64(11),
+            fixed_events=np.int64(6),
+        )
+        assert (spec.sizes, spec.iterations, spec.fixed_events) == ((60,), 2, 6)
+        assert type(spec.iterations) is int and type(spec.sizes[0]) is int
+        plain = small_spec(iterations=2, fixed_events=6)
+        assert ws.run_grid(spec, workers=np.int64(1)) == ws.run_grid(plain)
+        assert ws.RngStream(np.uint64(5), np.int32(2), "train").seed == ws.RngStream(5, 2, "train").seed
+
 
 class TestRunIteration:
     def test_golden_record_is_stable(self):

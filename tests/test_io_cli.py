@@ -506,6 +506,16 @@ class TestCli:
         assert "master seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_synth_refuses_empty_id(self, tmp_path, capsys):
+        # used to exit 0 and write the default id, synth-d2-aiv1
+        out = tmp_path / "s.json"
+        assert cli.main([
+            "synth", "--d", "2", "--bins", "4,4", "--aiv", "1", "--seed", "3",
+            "--id", "", "--out", str(out),
+        ]) == 2
+        assert "id must be nonempty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_unreachable_exits_3(self, tmp_path):
         out = tmp_path / "synth.json"
         assert cli.main([

@@ -125,7 +125,7 @@ class TestEstimateWoe:
             for k in range(pred.n_bins):
                 if pred.p_event[k] >= 0.05 and pred.p_nonevent[k] >= 0.05:
                     assert table.woe[j][k] == pytest.approx(
-                        ws.population_woe(ws.CONFIG_A, j + 1, k + 1), abs=0.02
+                        pred.woe()[k], abs=0.02
                     )
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EnumerationLimitError, TargetUnreachable
+from .errors import ConfigError, EnumerationLimitError, TargetUnreachable, _integer
 from .rng import RngStream
 
 #: Minimum admissible bin probability in any configuration.
@@ -340,9 +340,10 @@ def synthesize_config(
     even lambda=1 falls short, the contrast is redrawn with progressively
     more extreme mass concentration.
     """
+    d = _integer("d", d, ConfigError)
     if d < 1:
         raise ConfigError("d must be at least 1")
-    bins = tuple(int(b) for b in bins)
+    bins = tuple(_integer("bins", b, ConfigError) for b in bins)
     if len(bins) != d:
         raise ConfigError(f"expected {d} bin counts, got {len(bins)}")
     if any(b < 2 for b in bins):

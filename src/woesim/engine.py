@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .configs import ConfigSpec, EventRate, aggregate_iv
-from .errors import DegenerateDesign, EmptyCell, SpecError
+from .errors import DegenerateDesign, EmptyCell, SpecError, _integer
 from .metrics import _rank
 
 # bench/layers.py traces these under this module, so they stay importable
@@ -45,14 +45,6 @@ SUMMARY_FIELDS = (
     ("theta_f1", "val"),
     ("theta_p4", "val"),
 )
-
-
-def _integer(field: str, value) -> int:
-    """``value`` as a Python int; a float or other non-integer is refused."""
-    try:
-        return index(value)
-    except TypeError:
-        raise SpecError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions shared across the package, and the integer check
+that raises them naming the field it refuses."""
+
+from operator import index
 
 
 class WoesimError(Exception):
@@ -44,3 +47,12 @@ class CurveFitError(WoesimError):
 
 class EmptyCell(WoesimError):
     """A summary cell holds no valid iteration records."""
+
+
+def _integer(field: str, value, error: type[ValueError] = SpecError) -> int:
+    """``value`` as a Python int; a float or other non-integer is refused
+    with ``error`` naming ``field``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{field} must be an integer, got {value!r}") from None

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .configs import ConfigSpec, EventRate
-from .errors import DegeneratePlan
+from .errors import DegeneratePlan, _integer
 from .metrics import _check_labels, _check_weights, _integer_typed
 from .rng import RngStream
 
@@ -20,7 +20,8 @@ class SamplingPlan:
     """Sample size, exact event count, and the nominal rate behind them.
 
     ``clamped`` records that the floored event count was lifted from zero
-    to one, so downstream records can flag the affected cells.
+    to one, so downstream records can flag the affected cells.  A count
+    that is not an integer is refused with ``SpecError``.
     """
 
     n: int
@@ -29,6 +30,8 @@ class SamplingPlan:
     clamped: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "n1", _integer("n1", self.n1))
         if self.n < 2:
             raise DegeneratePlan(f"need n >= 2, got n={self.n}")
         if self.n1 < 1:

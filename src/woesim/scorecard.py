@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -25,29 +24,24 @@ _MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class WoeTable:
-    """Estimated weights of evidence with the counts behind them.
+    """Estimated weights of evidence.
 
     One row of ``woe`` per predictor, one entry per bin known from the
-    configuration shape; bins absent from the training sample keep zero
-    counts and still get a finite estimate through the adjustment.
+    configuration shape; bins absent from the training sample still get a
+    finite estimate through the adjustment.
     """
 
     woe: tuple[tuple[float, ...], ...]
-    event_counts: tuple[tuple[int, ...], ...]
-    nonevent_counts: tuple[tuple[int, ...], ...]
-    n_event: int
-    n_nonevent: int
-    theta_adj: float
 
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-        """Every predictor's WoE in one flat array, with the bin counts (a
-        tuple, as ``Sample.bin_counts`` holds them) and the ``_bin_layout``
-        offsets that index it; built on first use and kept with the table
-        (equality and repr still see the fields alone)."""
+    def __post_init__(self) -> None:
+        # ``transform``'s lookup: every predictor's WoE in one flat array, with
+        # the bin counts (a tuple, as ``Sample.bin_counts`` holds them) and the
+        # ``_bin_layout`` offsets that index it; kept off the fields, so
+        # equality and repr see the rows alone
         bin_counts = tuple(len(row) for row in self.woe)
         flat = np.fromiter(chain.from_iterable(self.woe), dtype=float)
-        return flat, bin_counts, _bin_layout(np.array(bin_counts))[1]
+        offsets = _bin_layout(np.array(bin_counts))[1]
+        object.__setattr__(self, "_lookup", (flat, bin_counts, offsets))
 
 
 @dataclass(frozen=True)
@@ -122,18 +116,7 @@ def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:
     )
     with np.errstate(divide="ignore"):
         woe = adjusted_woe(c0, c1, n0, n1, theta_adj)
-    bounds = ends.tolist()
-    table = WoeTable(
-        woe=_split_rows(woe.tolist(), bounds),
-        event_counts=_split_rows(c1.tolist(), bounds),
-        nonevent_counts=_split_rows(c0.tolist(), bounds),
-        n_event=n1,
-        n_nonevent=n0,
-        theta_adj=float(theta_adj),
-    )
-    # the flat WoE array is the lookup ``transform`` would rebuild from the tuples
-    object.__setattr__(table, "_lookup", (woe, sample.bin_counts, offsets))
-    return table
+    return WoeTable(woe=_split_rows(woe.tolist(), ends.tolist()))
 
 
 def transform(sample: Sample, table: WoeTable) -> np.ndarray:

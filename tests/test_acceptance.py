@@ -38,12 +38,15 @@ GUIDELINE_ROW_1PCT = (0.06, 0.07, 0.09, 0.11, 0.13, 0.16, 0.19, 0.23,
 GUIDELINE_5PCT_AT_2 = 0.32
 GUIDELINE_5PCT_AT_2_5 = 0.36
 
-# how far config B's n=2500 medians may fall short of (criteria 14, 15) or
-# stray from (criterion 16) the exact population limits; each is the worst
-# gap at ACCEPTANCE_SEED (0.0366, 0.0399, 0.0100) plus a margin of 0.01
+# how far config B's n=2500 medians may fall short of (criteria 14, 15, 17)
+# or stray from (criteria 16, 18) the exact population limits; each is the
+# worst gap at ACCEPTANCE_SEED (0.0366, 0.0399, 0.0100, 0.0598, 0.0105) plus
+# a margin of 0.01, rounded up to a hundredth
 POPULATION_GINI_SHORTFALL = 0.05
 POPULATION_F1_SHORTFALL = 0.05
 POPULATION_CUTOFF_DISTANCE = 0.02
+POPULATION_P4_SHORTFALL = 0.07
+POPULATION_P4_CUTOFF_DISTANCE = 0.03
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -100,10 +103,20 @@ def population_gini(config, rate):
     return lead / (total_events * total_nonevents)
 
 
-def population_best_f1(config, rate):
-    """The Bayes scorer's best population F1 over ``default_cutoff_grid()``
-    and the first grid cutoff reaching it.  A cell is positive when its float
-    ``bayes_posterior`` is >= the cutoff, the engine's rule."""
+def f1_of_counts(tp, fp, fn, tn):
+    return 2 * tp / (2 * tp + fp + fn)
+
+
+def p4_of_counts(tp, fp, fn, tn):
+    # P4 = 4 / (1/precision + 1/recall + 1/specificity + 1/NPV)
+    return 4 * tp * tn / (4 * tp * tn + (tp + tn) * (fp + fn))
+
+
+def population_best(config, rate, score):
+    """The Bayes scorer's best population ``score`` of the exact counts (tp,
+    fp, fn, tn) over ``default_cutoff_grid()`` and the first grid cutoff
+    reaching it.  A cell is positive when its float ``bayes_posterior`` is
+    >= the cutoff, the engine's rule."""
     posteriors, events, nonevents = zip(*sorted(
         (ws.bayes_posterior(config, rate, cell), events, nonevents)
         for cell, events, nonevents in joint_cells(config, rate)
@@ -114,20 +127,20 @@ def population_best_f1(config, rate):
     best = (Fraction(-1), None)
     for cutoff in ws.default_cutoff_grid():
         at = bisect.bisect_left(posteriors, cutoff)
-        # F1 = 2 tp / (2 tp + fp + fn), where tp + fn is every event
-        f1 = 2 * tp[at] / (tp[at] + fp[at] + tp[0])
-        if f1 > best[0]:
-            best = (f1, float(cutoff))
+        value = score(tp[at], fp[at], tp[0] - tp[at], fp[0] - fp[at])
+        if value > best[0]:
+            best = (value, float(cutoff))
     return best
 
 
 @pytest.fixture(scope="session")
 def population_b():
-    """Config B's exact Gini and best grid F1 with its cutoff, per rate."""
+    """Config B's exact Gini and best grid F1 and P4 with their cutoffs, per rate."""
     rates = {pi1: ws.EventRate(pi1) for pi1 in (0.01, 0.05, 0.10)}
     return (
         {pi1: population_gini(ws.CONFIG_B, rate) for pi1, rate in rates.items()},
-        {pi1: population_best_f1(ws.CONFIG_B, rate) for pi1, rate in rates.items()},
+        {pi1: population_best(ws.CONFIG_B, rate, f1_of_counts) for pi1, rate in rates.items()},
+        {pi1: population_best(ws.CONFIG_B, rate, p4_of_counts) for pi1, rate in rates.items()},
     )
 
 
@@ -318,13 +331,13 @@ def test_criterion_12_determinism(tmp_path):
 
 def test_criterion_13_scope_note():
     # the gate intentionally claims identities, oracles, and trend bands
-    # (criteria 1-12, 14-16) rather than exact reproduction of any
+    # (criteria 1-12, 14-18) rather than exact reproduction of any
     # external run, whose RNG and grid conventions are unknown
     verdict(13, "figure-level exactness not claimed; identities and trend bands carry the gate", True)
 
 
 def test_criterion_14_gini_below_population_limit(run_b_2500, population_b):
-    ginis, _ = population_b
+    ginis, _, _ = population_b
     limit = ginis[0.01]
     gaps = [float(limit) - median_of(run_b_2500, "gini", "test", rate=rate) for rate in ginis]
     verdict(
@@ -338,7 +351,7 @@ def test_criterion_14_gini_below_population_limit(run_b_2500, population_b):
 
 
 def test_criterion_15_f1_shortfall_shrinks_with_rate(run_b_2500, population_b):
-    _, best = population_b
+    _, best, _ = population_b
     gaps = [
         float(f1) - median_of(run_b_2500, "f1", "test", rate=rate)
         for rate, (f1, _) in best.items()
@@ -353,7 +366,7 @@ def test_criterion_15_f1_shortfall_shrinks_with_rate(run_b_2500, population_b):
 
 
 def test_criterion_16_cutoff_near_population_optimum(run_b_2500, population_b):
-    _, best = population_b
+    _, best, _ = population_b
     gaps = [
         abs(median_of(run_b_2500, "theta_f1", "val", rate=rate) - cutoff)
         for rate, (_, cutoff) in best.items()
@@ -363,4 +376,33 @@ def test_criterion_16_cutoff_near_population_optimum(run_b_2500, population_b):
         f"median validation F1 cutoff within {POPULATION_CUTOFF_DISTANCE} of population "
         f"cutoff {[cutoff for _, cutoff in best.values()]} (gaps {[round(g, 4) for g in gaps]})",
         all(g <= POPULATION_CUTOFF_DISTANCE for g in gaps),
+    )
+
+
+def test_criterion_17_p4_shortfall_shrinks_with_rate(run_b_2500, population_b):
+    _, _, best = population_b
+    gaps = [
+        float(p4) - median_of(run_b_2500, "p4", "test", rate=rate)
+        for rate, (p4, _) in best.items()
+    ]
+    verdict(
+        17,
+        f"median test P4 falls short of population P4 "
+        f"{[round(float(p4), 5) for p4, _ in best.values()]} by 0..{POPULATION_P4_SHORTFALL}, "
+        f"less at each higher rate (gaps {[round(g, 4) for g in gaps]})",
+        all(0.0 < g <= POPULATION_P4_SHORTFALL for g in gaps) and gaps[0] > gaps[1] > gaps[2],
+    )
+
+
+def test_criterion_18_p4_cutoff_near_population_optimum(run_b_2500, population_b):
+    _, _, best = population_b
+    gaps = [
+        abs(median_of(run_b_2500, "theta_p4", "val", rate=rate) - cutoff)
+        for rate, (_, cutoff) in best.items()
+    ]
+    verdict(
+        18,
+        f"median validation P4 cutoff within {POPULATION_P4_CUTOFF_DISTANCE} of population "
+        f"cutoff {[cutoff for _, cutoff in best.values()]} (gaps {[round(g, 4) for g in gaps]})",
+        all(g <= POPULATION_P4_CUTOFF_DISTANCE for g in gaps),
     )

@@ -192,6 +192,13 @@ class TestBayesPosterior:
             ws.bayes_posterior(ws.CONFIG_A, ws.EventRate(0.1), (1, 1, 1, 9))
 
 
+class NoDraws:
+    """A stream that fails the test when drawn from."""
+
+    def generator(self):
+        pytest.fail("drew variates for a refused argument")
+
+
 class TestSynthesizeConfig:
     def test_hits_table4_style_target(self):
         cfg = ws.synthesize_config(2, (4, 4), 5.51, 0.05, ws.RngStream(7, 0, "synth"))
@@ -248,14 +255,19 @@ class TestSynthesizeConfig:
 
     def test_empty_id_refused_before_drawing(self):
         # used to fall back to the default id, as if none had been given
-        class NoDraws:
-            def generator(self):
-                pytest.fail("drew variates for a refused id")
-
         with pytest.raises(ws.ConfigError, match="id must be nonempty"):
             ws.synthesize_config(2, (4, 4), 1.0, 0.05, NoDraws(), config_id="")
         cfg = ws.synthesize_config(2, (4, 4), 1.0, 0.05, ws.RngStream(3, 0, "synth"))
         assert cfg.id == "synth-d2-aiv1"
+
+    @pytest.mark.parametrize("d, bins, field", [(2, (2.7, 3.9), "bins"), (2.0, (2, 3), "d")])
+    def test_non_integer_shape_refused_before_drawing(self, d, bins, field):
+        # bins (2.7, 3.9) used to be truncated to (2, 3), and d=2.0 named the
+        # config synth-d2.0-aiv1
+        with pytest.raises(ws.ConfigError, match=f"^{field} must be an integer"):
+            ws.synthesize_config(d, bins, 1.0, 0.05, NoDraws())
+        cfg = ws.synthesize_config(np.int64(2), (np.int64(2), 3), 1.0, 0.05, ws.RngStream(1))
+        assert cfg.id == "synth-d2-aiv1" and cfg.bin_counts == (2, 3)
 
     def test_reproducible(self):
         a = ws.synthesize_config(2, (4, 4), 3.0, 0.05, ws.RngStream(5, 0, "synth"))

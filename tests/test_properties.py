@@ -4,9 +4,10 @@ A weighted row counts exactly as that many replicated rows: the engine
 takes every split of at least as many rows as joint cells as a ``Sample``
 of weighted cells (``generate_cells``) and hands its weights to the WoE
 estimate, the fit and the metrics, so each of them must agree with the
-unweighted call on the rows the weights stand for.  The fit's Newton
-step solves as ``np.linalg.solve`` does and falls back to least squares
-exactly where that raises.  The results and summary CSVs round-trip
+unweighted call on the rows the weights stand for, and a WoE table
+rebuilt from an estimate's rows transforms bit for bit as the estimate
+does.  The fit's Newton step solves as ``np.linalg.solve`` does and
+falls back to least squares exactly where that raises.  The results and summary CSVs round-trip
 any record without an infinity; the savers refuse one with, naming its
 column and record, and the loaders too, naming its line and column; the config synthesiser either hits its target or says it
 cannot, a sampling plan holds floor(rate * n) events or one flagged
@@ -220,7 +221,7 @@ def cell_totals(sample) -> dict:
 
 @given(binned_samples(weighted=True))
 def test_weighted_woe_equals_replicated_rows(sample):
-    # weighted rows give the WoE table, fit, cutoffs, confusion counts and Gini
+    # weighted rows give the WoE rows, fit, cutoffs, confusion counts and Gini
     # of the rows they stand for, as ``run_iteration`` computes each
     rows = expand(sample)
     table = ws.estimate_woe(sample)
@@ -244,6 +245,17 @@ def test_weighted_woe_equals_replicated_rows(sample):
     thetas = [cut.theta for cut in cuts]
     assert ranking.counts_at(thetas).tolist() == row_ranking.counts_at(thetas).tolist()
     assert ranking.gini() == row_ranking.gini()
+
+
+@given(st.booleans().flatmap(lambda weighted: binned_samples(weighted=weighted)),
+       st.sampled_from([0.5, 1e-3]))
+def test_woe_table_rebuilt_from_its_rows_transforms_bit_for_bit(sample, theta_adj):
+    # a table is its rows: one built by hand from an estimate's rows equals it
+    # and builds the same lookup
+    table = ws.estimate_woe(sample, theta_adj)
+    rebuilt = ws.WoeTable(woe=table.woe)
+    assert rebuilt == table
+    assert ws.transform(sample, rebuilt).tobytes() == ws.transform(sample, table).tobytes()
 
 
 @given(binned_samples(), st.data())

@@ -1,5 +1,7 @@
-"""The names ``import woesim`` exposes; adding or dropping one is a deliberate edit here."""
+"""The names ``import woesim`` exposes and the fields of its result and spec
+types; adding or dropping one is a deliberate edit here."""
 
+import dataclasses
 import types
 
 import woesim as ws
@@ -35,3 +37,39 @@ def test_public_names_are_pinned():
     }
     assert len(PUBLIC_NAMES) == 56
     assert exported == PUBLIC_NAMES
+
+
+#: Each public result or spec type's fields, in order.
+PUBLIC_FIELDS = {
+    "WoeTable": ("woe",),
+    "FittedModel": ("beta", "converged", "iterations", "loglik"),
+    "Sample": ("X", "Y", "bin_counts", "w"),
+    "SamplingPlan": ("n", "n1", "pi1", "clamped"),
+    "RunSpec": (
+        "configs", "sizes", "rates", "iterations", "master_seed", "theta_adj", "fixed_events",
+    ),
+    "ConfigSpec": ("id", "predictors"),
+    "PredictorSpec": ("name", "p_event", "p_nonevent"),
+    "EventRate": ("pi1",),
+    "CurveFit": ("L", "k", "x0", "rss"),
+    "ConfusionMatrix": ("tp", "fp", "fn", "tn"),
+    "IterationRecord": (
+        "config_id", "aiv", "n", "event_rate", "iteration", "clamped", "converged",
+        "theta_f1", "theta_p4", "f1_val", "f1_test", "p4_val", "p4_test", "gini_val", "gini_test",
+    ),
+    "SummaryRecord": (
+        "config_id", "aiv", "n", "event_rate", "metric", "split",
+        "median", "q25", "q75", "p05", "p95", "n_iter", "n_nonconverged",
+    ),
+}
+
+
+def test_public_fields_are_pinned():
+    found = {}
+    for name in PUBLIC_FIELDS:
+        cls = getattr(ws, name)
+        if dataclasses.is_dataclass(cls):
+            found[name] = tuple(f.name for f in dataclasses.fields(cls))
+        else:
+            found[name] = cls._fields
+    assert found == PUBLIC_FIELDS

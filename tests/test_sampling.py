@@ -70,6 +70,22 @@ class TestMakePlan:
         with pytest.raises(ws.DegeneratePlan):
             ws.SamplingPlan(n=10, n1=0, pi1=0.01)
 
+    @pytest.mark.parametrize("field, make", [
+        ("n1", lambda: ws.SamplingPlan(n=100, n1=5.5, pi1=0.05)),
+        ("n", lambda: ws.SamplingPlan(n=200.0, n1=5, pi1=0.05)),
+        ("n", lambda: ws.make_plan(60.5, ws.EventRate(0.05))),
+        (None, lambda: ws.SamplingPlan(n=np.int64(100), n1=np.int32(5), pi1=0.05)),
+    ], ids=["float n1", "float n", "make_plan float n", "numpy ints"])
+    def test_non_integer_counts_refused(self, field, make):
+        # used to be accepted, and the draw then raised a bare TypeError
+        if field is not None:
+            with pytest.raises(ws.SpecError, match=f"^{field} must be an integer"):
+                make()
+            return
+        plan = make()
+        assert (plan.n, plan.n1) == (100, 5) and type(plan.n) is type(plan.n1) is int
+        assert ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(1, 0, "train")).n == 100
+
 
 def one_predictor(p_event, p_nonevent=None):
     pred = ws.PredictorSpec("X1", p_event, p_event if p_nonevent is None else p_nonevent)

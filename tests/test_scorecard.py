@@ -1,6 +1,5 @@
 """WoE estimation, the WoE transform, and the logistic MLE."""
 
-import dataclasses
 import itertools
 import math
 
@@ -35,6 +34,31 @@ BAD_WEIGHTS = {
 }
 
 
+#: The default adjustment and a small one, under which each count weighs more.
+THETAS = (0.5, 1e-3)
+
+
+def assert_entries_count_the_sample(sample, theta_adj):
+    """Every entry of the sample's table is ``adjusted_woe`` of the weighted
+    class counts of its bin and of the sample, counted here with masks; each
+    predictor's bin counts add up to the class totals."""
+    table = ws.estimate_woe(sample, theta_adj)
+    w, events = sample.w, sample.Y == 1
+    n1 = int(w[events].sum())
+    n0 = int(w[~events].sum())
+    assert [len(row) for row in table.woe] == list(sample.bin_counts)
+    for j, row in enumerate(table.woe):
+        margins = [0, 0]
+        for k, value in enumerate(row):
+            hits = sample.X[:, j] == k + 1
+            c1 = int(w[hits & events].sum())
+            c0 = int(w[hits & ~events].sum())
+            assert value == ws.adjusted_woe(c0, c1, n0, n1, theta_adj), (j, k)
+            margins[0] += c0
+            margins[1] += c1
+        assert margins == [n0, n1], j
+
+
 class TestAdjustedWoe:
     def test_empty_event_bin_with_adjustment(self):
         value = ws.adjusted_woe(45, 0, 90, 10, 0.5)
@@ -53,22 +77,23 @@ class TestAdjustedWoe:
 class TestEstimateWoe:
     def test_counts_and_tables_cover_all_bins(self):
         sample = build_sample([1, 1, 2, 2, 2, 1, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 0, 0, 0, 0], (3,))
+        for theta_adj in THETAS:
+            assert_entries_count_the_sample(sample, theta_adj)
         table = ws.estimate_woe(sample, theta_adj=0.5)
-        assert table.n_event == 2 and table.n_nonevent == 8
-        assert table.event_counts[0] == (2, 0, 0)
-        assert table.nonevent_counts[0] == (5, 3, 0)
-        assert len(table.woe[0]) == 3
+        # bin 1 holds 2 events and 5 nonevents, bin 2 three nonevents, bin 3 nothing
+        counts = [(5, 2), (3, 0), (0, 0)]
+        assert table.woe[0] == tuple(ws.adjusted_woe(c0, c1, 8, 2, 0.5) for c0, c1 in counts)
         # bin 3 was never observed but still has a finite estimate
         assert math.isfinite(table.woe[0][2])
         assert table.woe[0][2] == pytest.approx(ws.adjusted_woe(0, 0, 8, 2, 0.5), abs=1e-12)
 
     def test_count_marginals_match_totals(self):
         plan = ws.make_plan(500, ws.EventRate(0.1))
-        sample = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(2, 0, "train"))
-        table = ws.estimate_woe(sample)
-        for j in range(sample.d):
-            assert sum(table.event_counts[j]) == table.n_event
-            assert sum(table.nonevent_counts[j]) == table.n_nonevent
+        rows = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(2, 0, "train"))
+        # the same draw as weighted joint cells counts each row with its weight
+        cells = ws.generate_cells(ws.CONFIG_B, plan, ws.RngStream(2, 0, "train"))
+        for sample, theta_adj in itertools.product((rows, cells), THETAS):
+            assert_entries_count_the_sample(sample, theta_adj)
 
     def test_single_class_rejected(self):
         with pytest.raises(ws.DegenerateDesign, match="training sample contains no events"):
@@ -131,45 +156,25 @@ class TestEstimateWoe:
 
 class TestTransform:
     def test_lookup(self):
-        table = ws.WoeTable(
-            woe=((0.2, -0.1),),
-            event_counts=((1, 1),),
-            nonevent_counts=((1, 1),),
-            n_event=2,
-            n_nonevent=2,
-            theta_adj=0.5,
-        )
+        table = ws.WoeTable(woe=((0.2, -0.1),))
         out = ws.transform(build_sample([1, 2, 1], [1, 0, 0], (2,)), table)
         assert out.tolist() == [[0.2], [-0.1], [0.2]]
+        # a later predictor reads its own row
+        two = ws.WoeTable(woe=((0.2, -0.1), (0.5, 0.4, 0.3)))
+        out = ws.transform(build_sample([[1, 3], [2, 1]], [1, 0], (2, 3)), two)
+        assert out.tolist() == [[0.2, 0.3], [-0.1, 0.5]]
 
     def test_zero_table_gives_zero_matrix(self):
-        table = ws.WoeTable(
-            woe=((0.0, 0.0), (0.0, 0.0, 0.0)),
-            event_counts=((0, 0), (0, 0, 0)),
-            nonevent_counts=((0, 0), (0, 0, 0)),
-            n_event=1,
-            n_nonevent=1,
-            theta_adj=0.5,
-        )
+        table = ws.WoeTable(woe=((0.0, 0.0), (0.0, 0.0, 0.0)))
         sample = build_sample([[1, 3], [2, 1]], [1, 0], (2, 3))
         assert np.all(ws.transform(sample, table) == 0.0)
 
     def test_unknown_bin_rejected(self):
-        table = ws.WoeTable(
-            woe=((0.2, -0.1),),
-            event_counts=((1, 1),),
-            nonevent_counts=((1, 1),),
-            n_event=2,
-            n_nonevent=2,
-            theta_adj=0.5,
-        )
+        table = ws.WoeTable(woe=((0.2, -0.1),))
         # a bin the table does not know can only come from a larger bin space
         with pytest.raises(ValueError, match=r"bin counts \(3,\), table has \(2,\)"):
             ws.transform(build_sample([1, 3], [1, 0], (3,)), table)
-        pair = ((1, 1), (1, 1))
-        two = dataclasses.replace(
-            table, woe=((0.2, -0.1), (0.5, 0.4)), event_counts=pair, nonevent_counts=pair
-        )
+        two = ws.WoeTable(woe=((0.2, -0.1), (0.5, 0.4)))
         with pytest.raises(ValueError, match=r"bin counts \(2, 3\), table has \(2, 2\)"):
             ws.transform(build_sample([[1, 2], [2, 3]], [1, 0], (2, 3)), two)
 
@@ -185,15 +190,13 @@ class TestTransform:
         train = ws.generate_sample(ws.CONFIG_B, plan, ws.RngStream(9, 0, "train"))
         table = ws.estimate_woe(train)
         feats = ws.transform(train, table)
-        # every transformed cell equals its bin's table entry, and counting
-        # rows per woe value recovers the stored counts
+        # every transformed cell equals its bin's table entry, and every
+        # entry is the formula on the rows counted per bin
         for j in range(train.d):
             woe_row = np.asarray(table.woe[j])
             assert np.array_equal(feats[:, j], woe_row[train.X[:, j] - 1])
-            for k, w in enumerate(table.woe[j]):
-                hits = train.X[:, j] == k + 1
-                assert int(np.count_nonzero(hits & (train.Y == 1))) == table.event_counts[j][k]
-                assert int(np.count_nonzero(hits & (train.Y == 0))) == table.nonevent_counts[j][k]
+        for theta_adj in THETAS:
+            assert_entries_count_the_sample(train, theta_adj)
         assert ws.estimate_woe(train) == table
 
 

@@ -10,7 +10,6 @@ sorted by cell key to make that visible byte for byte.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -250,6 +249,11 @@ def run_grid(spec: RunSpec, workers: int = 1) -> list[IterationRecord]:
         # heaviest cells first, so no large cell starts last and leaves
         # the other workers idle; the stable sort keeps ties in grid order
         queued = sorted(tasks, key=lambda task: task[2].n, reverse=True)
+        # imported here, not with the module: the pool pulls in
+        # multiprocessing, logging, socket and queue (~1.5 MiB resident),
+        # which serial runs and the post-run commands never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_cell, queued):
                 records.extend(chunk)

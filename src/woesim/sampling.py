@@ -21,7 +21,8 @@ class SamplingPlan:
 
     ``clamped`` records that the floored event count was lifted from zero
     to one, so downstream records can flag the affected cells.  A count
-    that is not an integer is refused with ``SpecError``.
+    that is not an integer is refused with ``SpecError``, and a rate
+    outside (0, 1) with ``EventRate``'s ``ConfigError``.
     """
 
     n: int
@@ -38,6 +39,8 @@ class SamplingPlan:
             raise DegeneratePlan(f"plan has no events (n1={self.n1})")
         if self.n1 >= self.n:
             raise DegeneratePlan(f"plan has no nonevents (n1={self.n1}, n={self.n})")
+        # the record copies pi1 into its event_rate
+        object.__setattr__(self, "pi1", EventRate(self.pi1).pi1)
 
 
 def make_plan(n: int, rate: EventRate) -> SamplingPlan:

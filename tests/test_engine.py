@@ -236,7 +236,9 @@ class TestRunGrid:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        # run_grid imports the pool class when it starts one, so patch it
+        # where that import finds it
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         spec = small_spec(sizes=(60, 100))
         assert ws.run_grid(spec, workers=10**6) == ws.run_grid(spec)
         assert started == [2]

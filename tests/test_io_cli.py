@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -315,6 +318,30 @@ class TestCli:
             "report", "--in", str(summary), "--cell", "B:gini:test", "--out", str(chart),
         ]) == 0
         assert chart.read_text().startswith("<svg")
+
+    def test_serial_run_and_post_run_commands_never_load_the_process_pool(self, tmp_path):
+        # a fresh interpreter, so no other test has imported the pool yet;
+        # multiprocessing and its dependencies cost ~1.5 MiB resident
+        script = (
+            "import sys\n"
+            "from woesim import cli\n"
+            "argvs = (\n"
+            "    ['run', '--config', 'B', '--rates', '0.05', '--sizes', '60', '--iters', '2',\n"
+            "     '--workers', '1', '--out', 'results.csv'],\n"
+            "    ['summarize', '--in', 'results.csv', '--out', 'summary.csv'],\n"
+            "    ['report', '--in', 'summary.csv', '--cell', 'B:f1:test', '--out', 'chart.svg'],\n"
+            ")\n"
+            "print([cli.main(argv) for argv in argvs])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ws.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"]
 
     def test_run_rejects_bad_rate(self, tmp_path):
         out = tmp_path / "r.csv"

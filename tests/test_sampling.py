@@ -70,6 +70,16 @@ class TestMakePlan:
         with pytest.raises(ws.DegeneratePlan):
             ws.SamplingPlan(n=10, n1=0, pi1=0.01)
 
+    @pytest.mark.parametrize("pi1", [float("nan"), 7.0, 0.0])
+    def test_rate_outside_unit_interval_refused(self, pi1):
+        # every record of the plan would carry it as its event_rate
+        with pytest.raises(ws.ConfigError, match=r"^event rate must lie in \(0, 1\), got "):
+            ws.SamplingPlan(n=100, n1=5, pi1=pi1)
+
+    def test_rate_stored_as_float(self):
+        plan = ws.SamplingPlan(n=100, n1=5, pi1=np.float32(0.5))
+        assert type(plan.pi1) is float and plan.pi1 == 0.5
+
     @pytest.mark.parametrize("field, make", [
         ("n1", lambda: ws.SamplingPlan(n=100, n1=5.5, pi1=0.05)),
         ("n", lambda: ws.SamplingPlan(n=200.0, n1=5, pi1=0.05)),

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, _integer
 
 _MASK64 = (1 << 64) - 1
-#: The types a seed or an iteration may take: Python and numpy integers.
-_INTEGERS = (int, np.integer)
 
 # Fixed tags; changing them would silently reseed every recorded run.
 ROLE_TAGS = {"train": 1, "val": 2, "test": 3, "synth": 4}
@@ -20,7 +18,7 @@ ROLE_TAGS = {"train": 1, "val": 2, "test": 3, "synth": 4}
 def check_master_seed(master_seed: int) -> None:
     """Refuse a master seed that is not an integer in [0, 2**64): masking
     would alias a larger one, and a float has no bits to mix."""
-    if not isinstance(master_seed, _INTEGERS) or not 0 <= master_seed <= _MASK64:
+    if not 0 <= _integer("master seed", master_seed) <= _MASK64:
         raise SpecError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
 
 
@@ -58,7 +56,7 @@ class RngStream:
         check_master_seed(self.master_seed)
         if self.role not in ROLE_TAGS:
             raise ValueError(f"unknown stream role {self.role!r}")
-        if not isinstance(self.iteration, _INTEGERS) or self.iteration < 0:
+        if _integer("iteration", self.iteration, ValueError) < 0:
             raise ValueError(f"iteration must be a nonnegative integer, got {self.iteration!r}")
 
     @property

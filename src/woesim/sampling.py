@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .configs import ConfigSpec, EventRate
+from .configs import ConfigSpec, EventRate, PredictorSpec
 from .errors import DegeneratePlan, _integer
 from .metrics import _check_labels, _check_weights, _integer_typed
 from .rng import RngStream
@@ -92,7 +92,7 @@ class Sample:
             )
         if not _integer_typed(X):
             raise ValueError(f"bin indices must be integers, got dtype {X.dtype}")
-        bin_counts = tuple(map(operator.index, self.bin_counts))
+        bin_counts = tuple(_integer("bin_counts", b, ValueError) for b in self.bin_counts)
         if len(bin_counts) != X.shape[1]:
             raise ValueError(
                 f"sample has {X.shape[1]} predictors but {len(bin_counts)} bin counts given"
@@ -133,6 +133,108 @@ class Sample:
         return self.X.shape[1]
 
 
+def bin_cdf(dist) -> np.ndarray:
+    """Read-only cumulative bin probabilities, the top edge pinned to exactly 1."""
+    cum = np.cumsum(np.asarray(dist, dtype=float))
+    cum[-1] = 1.0  # guard the top edge against accumulated rounding
+    cum.flags.writeable = False
+    return cum
+
+
+#: A ``GuideTable`` row splits [0, 1) into 2**_GUIDE_SHIFT equal buckets.
+_GUIDE_SHIFT = 12
+_GUIDE_BUCKETS = 1 << _GUIDE_SHIFT
+
+
+class GuideTable:
+    """Guide-table ("indexed search") inversion of every class-conditional
+    ``bin_cdf`` of the given predictors (Chen & Asau 1974; Devroye 1986,
+    sec. III.2.4), and the coding of their joint cells.
+
+    Row j holds predictor j's event cdf and row d + j its nonevent cdf.
+    Each row splits [0, 1) into M = 2**12 equal buckets, and ``bins``
+    holds the 1-based bin of each bucket that no interior cdf edge cuts,
+    0 for a cut one.  A variate u lies in bucket floor(u * M), exact
+    because M is a power of two.  The few variates in cut buckets are
+    resolved by one search of ``edges``, every interior edge e of row r as
+    the complex number r + 1j * e: numpy orders complex numbers by real
+    part first, so a variate's insertion point counts the edges of the
+    rows before its own plus the edges of its row at or below it.
+    ``row_base`` holds each row's first index in ``edges``, minus one.
+
+    A row of bins x lies in the C-order joint cell ``radix @ x - offset``
+    of the bin space ``bin_counts``, whose 1-based bins ``cells`` lists.
+    """
+
+    def __init__(self, predictors: Sequence[PredictorSpec]) -> None:
+        cdfs = [bin_cdf(p.p_event) for p in predictors] + [
+            bin_cdf(p.p_nonevent) for p in predictors
+        ]
+        lower = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+        upper = np.arange(1, _GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        # uint8 up to 255 bins: the table stays a few kilobytes per predictor
+        dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs))
+        bins, edges = [], []
+        for row, cdf in enumerate(cdfs):
+            below = cdf.searchsorted(lower, side="right")
+            cut = below != cdf.searchsorted(upper, side="left")
+            bins.append(np.where(cut, 0, below + 1).astype(dtype))
+            key = np.empty(cdf.size - 1, dtype=complex)
+            key.real = row
+            key.imag = cdf[:-1]
+            edges.append(key)
+        # each row's first bucket in ``bins``, as a column per predictor
+        rows = np.arange(len(cdfs))[:, None] * _GUIDE_BUCKETS
+        bin_counts = tuple(len(p.p_event) for p in predictors)
+        self.bins = np.concatenate(bins)
+        self.edges = np.concatenate(edges)
+        self.row_base = np.cumsum([0] + [key.size for key in edges[:-1]]) - 1
+        self.event_rows, self.nonevent_rows = np.split(rows, 2)
+        self.radix = np.cumprod((1,) + bin_counts[:0:-1])[::-1]
+        for table in vars(self).values():
+            table.flags.writeable = False
+        self.offset = int(self.radix.sum())
+        self.bin_counts = bin_counts
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """The (K, d) 1-based bins of every joint cell, in code order, built
+        on first use: only a sample of K <= n rows asks, and pays, for it."""
+        cells = np.indices(self.bin_counts).reshape(len(self.bin_counts), -1).T + 1
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
+        cells.flags.writeable = False
+        return cells
+
+    def lookup(self, u: np.ndarray, n1: int) -> np.ndarray:
+        """The (d, n) 1-based bins, in the table's unsigned dtype, of the
+        (d, n) variates ``u`` in [0, 1): the first n1 of each predictor
+        through its event cdf, the rest through its nonevent cdf.  Bit for
+        bit ``cdf.searchsorted(u, side="right") + 1``, variates on cdf
+        edges included."""
+        # the cast truncates u * M, which is exact, so it is floor(u * M)
+        at = np.multiply(u, _GUIDE_BUCKETS, out=np.empty(u.shape, np.int64), casting="unsafe")
+        at[:, :n1] += self.event_rows
+        at[:, n1:] += self.nonevent_rows
+        bins = self.bins.take(at)
+        cut = np.flatnonzero(bins.reshape(-1) == 0)
+        if cut.size:
+            rows = at.reshape(-1)[cut] >> _GUIDE_SHIFT
+            key = np.empty(cut.size, dtype=complex)
+            key.real = rows
+            key.imag = u.reshape(-1)[cut]
+            bins.reshape(-1)[cut] = self.edges.searchsorted(key, side="right") - self.row_base[rows]
+        return bins
+
+
+@lru_cache(maxsize=16)
+def guide_table(predictors: tuple[PredictorSpec, ...]) -> GuideTable:
+    """The ``GuideTable`` of a config's predictors: built on first use and
+    shared by equal predictors within a process, such as those of the copy
+    of a config a process pool unpickles with each task, so it is never
+    pickled."""
+    return GuideTable(predictors)
+
+
 def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sample:
     """Draw a sample: n1 event rows from p_event, the rest from p_nonevent.
 
@@ -145,19 +247,20 @@ def generate_sample(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> S
     Each variate u in [0, 1) becomes a 1-based bin index by inverting the
     class's cumulative bin probabilities: the bins partition [0, 1) into
     right-open intervals in bin order, so a variate equal to an interior
-    boundary falls in the bin to the boundary's right.  The config's
-    ``guide_table`` inverts the whole draw in one lookup.
+    boundary falls in the bin to the boundary's right.  The predictors'
+    cached ``guide_table`` inverts the whole draw in one lookup.
     """
     n, n1 = plan.n, plan.n1
+    table = guide_table(config.predictors)
     # row j of one draw is predictor j's n1 event variates, then its n - n1
     # nonevent variates: the stream order above, in a single call
     u = rng.generator().random((config.n_predictors, n))
-    X = np.ascontiguousarray(config.guide_table.lookup(u, n1).T, dtype=np.int64)
+    X = np.ascontiguousarray(table.lookup(u, n1).T, dtype=np.int64)
     Y = np.zeros(n, dtype=np.int64)
     Y[:n1] = 1
     # a Generator's variates lie in [0, 1) and the table's bins in
     # 1..bin_counts[j], so the sample is valid as built
-    return Sample._built_valid(X, Y, config.bin_counts, np.ones(n, dtype=np.int64))
+    return Sample._built_valid(X, Y, table.bin_counts, np.ones(n, dtype=np.int64))
 
 
 def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sample:
@@ -173,12 +276,13 @@ def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sa
     row its own cell, which ``generate_sample`` draws.
     """
     n, n1 = plan.n, plan.n1
-    n_cells = math.prod(config.bin_counts)
+    table = guide_table(config.predictors)
+    n_cells = math.prod(table.bin_counts)
     if n_cells > n:
         raise ValueError(f"cells need n >= K = {n_cells} rows, got n={n}")
-    radix, offset, cells = _cell_space(config.bin_counts)
+    # K <= n keeps every code far inside int64
     u = rng.generator().random((config.n_predictors, n))
-    code = radix @ config.guide_table.lookup(u, n1) - offset
+    code = table.radix @ table.lookup(u, n1) - table.offset
     # slot c holds joint cell c's event count and slot K + c its nonevent
     # count; one row per positive slot, in slot order
     counts = np.concatenate([
@@ -186,22 +290,8 @@ def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sa
         np.bincount(code[n1:], minlength=n_cells),
     ])
     slots = np.flatnonzero(counts)
-    X = cells.take(slots % n_cells, axis=0)
+    X = table.cells.take(slots % n_cells, axis=0)
     # a valid sample's observed cells, their classes and positive counts
     Y = (slots < n_cells).astype(np.int64)
-    return Sample._built_valid(X, Y, config.bin_counts, counts[slots])
+    return Sample._built_valid(X, Y, table.bin_counts, counts[slots])
 
-
-@lru_cache(maxsize=16)
-def _cell_space(bin_counts: tuple[int, ...]) -> tuple[np.ndarray, int, np.ndarray]:
-    """A bin space's place values ``radix``, their sum ``offset`` and its
-    (K, d) table ``cells`` of every joint cell's 1-based bins, in code
-    order: a row of bins x lies in the C-order joint cell ``radix @ x -
-    offset``."""
-    # asked for only by a sample of K <= n rows, which pays for the table
-    # and keeps every code far inside int64
-    radix = np.cumprod((1,) + bin_counts[:0:-1])[::-1]
-    cells = np.indices(bin_counts).reshape(len(bin_counts), -1).T + 1
-    cells = np.ascontiguousarray(cells, dtype=np.int64)
-    radix.flags.writeable = cells.flags.writeable = False
-    return radix, int(radix.sum()), cells

@@ -42,6 +42,12 @@ class TestValidation:
         with pytest.raises(ws.ConfigError):
             ws.ConfigSpec(id="empty", predictors=())
 
+    def test_empty_names_rejected(self):
+        with pytest.raises(ws.ConfigError, match="predictor name must be nonempty"):
+            make_predictor((0.5, 0.5), (0.4, 0.6), name="")
+        with pytest.raises(ws.ConfigError, match="config id must be nonempty"):
+            ws.ConfigSpec(id="", predictors=(make_predictor((0.5, 0.5), (0.4, 0.6)),))
+
     def test_event_rate_bounds(self):
         with pytest.raises(ws.ConfigError):
             ws.EventRate(0.0)

@@ -22,6 +22,8 @@ from woesim.charts import _nice_ticks, _tick_labels
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: A well-formed config JSON predictor, which each malformed document breaks once.
+GOOD_PREDICTOR = {"name": "X1", "p_event": [0.5, 0.5], "p_nonevent": [0.4, 0.6]}
 
 
 def tiny_records():
@@ -130,6 +132,14 @@ class TestResultsCsv:
         path = tmp_path / "results.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ws.SchemaError, match="bad header"):
+            io.load_results_csv(path)
+
+    def test_row_of_another_field_count_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        io.save_results_csv(tiny_records(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("B,1.0,50\n")
+        with pytest.raises(ws.SchemaError, match="row has 3 fields, expected 15"):
             io.load_results_csv(path)
 
 
@@ -288,6 +298,33 @@ class TestCli:
             {"name": "X1", "p_event": [0.6, 0.5], "p_nonevent": [0.5, 0.5]}
         ]}))
         assert cli.main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize(("doc", "names"), [
+        ({"id": "x"}, "missing key(s) ['predictors']"),
+        ({"id": 3, "predictors": [GOOD_PREDICTOR]}, "id must be a string"),
+        ({"id": "x", "predictors": []}, "predictors must be a nonempty list"),
+        ({"id": "x", "predictors": {"X1": GOOD_PREDICTOR}}, "predictors must be a nonempty list"),
+        ({"id": "x", "predictors": [1]}, "predictors[0] must be an object"),
+        ({"id": "x", "predictors": [{"name": "X1", "p_event": [0.5, 0.5]}]},
+         "predictors[0]: missing key(s) ['p_nonevent']"),
+        ({"id": "x", "predictors": [dict(GOOD_PREDICTOR, name=1)]}, "predictors[0].name must be a string"),
+        ({"id": "x", "predictors": [dict(GOOD_PREDICTOR, p_event=[])]},
+         "predictors[0].p_event must be a nonempty list of numbers"),
+        ({"id": "x", "predictors": [dict(GOOD_PREDICTOR, p_nonevent=0.5)]},
+         "predictors[0].p_nonevent must be a nonempty list of numbers"),
+        ({"id": "x", "predictors": [dict(GOOD_PREDICTOR, name="")]},
+         "predictors[0]: predictor name must be nonempty"),
+        ({"id": "", "predictors": [GOOD_PREDICTOR]}, "config id must be nonempty"),
+        ({"id": "x", "predictors": [GOOD_PREDICTOR, GOOD_PREDICTOR]}, "config 'x': duplicate predictor names"),
+    ], ids=["missing-key", "id-not-string", "no-predictors", "predictors-not-list",
+            "predictor-not-object", "predictor-missing-key", "name-not-string", "empty-number-list",
+            "number-list-not-list", "empty-name", "empty-id", "duplicate-names"])
+    def test_validate_malformed_config_exits_2_naming_file_and_key(self, tmp_path, capsys, doc, names):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and names in err
 
     @pytest.mark.parametrize("argv", [
         ["validate", "{path}"],
@@ -560,8 +597,9 @@ class TestCli:
         ["synth", "--d", "2", "--bins", "4,4", "--aiv", "inf", "--out", "{dir}/s.json"],
         ["synth", "--d", "2", "--bins", "4,4", "--aiv", "1", "--tol", "inf",
          "--out", "{dir}/s.json"],
+        ["synth", "--d", "2", "--bins", "1,4", "--aiv", "1", "--out", "{dir}/s.json"],
     ], ids=["validate-dir", "summarize-dir", "report-dir", "run-dir", "run-missing-dir",
-            "run-sizes-word", "run-sizes-float", "synth-inf-aiv", "synth-inf-tol"])
+            "run-sizes-word", "run-sizes-float", "synth-inf-aiv", "synth-inf-tol", "synth-one-bin"])
     def test_unusable_input_exits_2_up_front(self, tmp_path, capsys, monkeypatch, argv):
         # the directory paths used to end in an IsADirectoryError traceback,
         # after the whole grid for run; a missing --out directory was only

@@ -39,8 +39,9 @@ from hypothesis import strategies as st
 
 import woesim as ws
 from woesim import engine, io, scorecard
-from woesim.configs import _GUIDE_BUCKETS, PROB_FLOOR, GuideTable, bin_cdf
+from woesim.configs import PROB_FLOOR
 from woesim.metrics import CutoffResult, _rank
+from woesim.sampling import _GUIDE_BUCKETS, GuideTable, bin_cdf
 
 GRID = ws.default_cutoff_grid()
 

@@ -31,10 +31,19 @@ class TestStreams:
         b = ws.RngStream(7, 3, "train").generator().random(16)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"])
     def test_master_seed_outside_u64_rejected(self, seed):
         with pytest.raises(ValueError, match="master seed"):
             ws.RngStream(seed, 0, "synth")
+
+    @pytest.mark.parametrize(
+        ("iteration", "message"),
+        [(1.5, "iteration must be an integer"), ("3", "iteration must be an integer"),
+         (-1, "iteration must be a nonnegative integer")],
+    )
+    def test_bad_iteration_rejected(self, iteration, message):
+        with pytest.raises(ValueError, match=message):
+            ws.RngStream(1, iteration, "train")
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError):
@@ -103,13 +112,13 @@ def one_predictor(p_event, p_nonevent=None):
 
 
 class TestInvertCdf:
-    """The config's guide table, which ``generate_sample`` inverts its draw
-    with, maps each variate in [0, 1) to a 1-based bin through the class's
+    """The guide table of a config's predictors, which ``generate_sample``
+    inverts its draw with, maps each variate in [0, 1) to a 1-based bin through the class's
     cumulative bin probabilities."""
 
     def test_right_open_boundary_convention(self):
         u = np.array([[0.4999, 0.5001, 0.5, 0.0, 0.7]])
-        X = one_predictor((0.5, 0.5)).guide_table.lookup(u, 4).T
+        X = sampling.guide_table(one_predictor((0.5, 0.5)).predictors).lookup(u, 4).T
         # the bins partition [0, 1) into right-open intervals, so a variate
         # on an interior boundary falls in the bin to its right
         assert X[:4, 0].tolist() == [1, 2, 2, 1]
@@ -118,18 +127,21 @@ class TestInvertCdf:
         # one event variate, then five nonevent variates inverted together
         u = np.array([[0.9, 0.0, 0.25, 0.499, 0.5, 0.999]])
         config = one_predictor((0.2, 0.3, 0.5), (0.25, 0.25, 0.5))
-        assert config.guide_table.lookup(u, 1).T[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
+        assert sampling.guide_table(config.predictors).lookup(u, 1).T[:, 0].tolist() == [3, 1, 2, 2, 3, 3]
 
 
 class TestGuideTable:
     def test_table_is_compact_and_stays_out_of_pickles(self):
         config = one_predictor((0.5, 0.25, 0.25), (0.1, 0.2, 0.7))
         before = pickle.dumps(config)
-        table = config.guide_table
+        plan = ws.make_plan(10, ws.EventRate(0.3))
+        for draw in (ws.generate_sample, ws.generate_cells):
+            draw(config, plan, ws.RngStream(1, 0, "train"))
+        table = sampling.guide_table(config.predictors)
         assert table.bins.dtype == np.uint8 and table.bins.size == 2 * 4096
         assert pickle.dumps(config) == before
         # a process pool's copy of the config finds the same table again
-        assert pickle.loads(before).guide_table is table
+        assert sampling.guide_table(pickle.loads(before).predictors) is table
 
 
 class TestDrawCategorical:
@@ -190,6 +202,22 @@ class TestSample:
             X = np.array([[1, 2], [2, bad], [1, 1]])
             with pytest.raises(IndexError, match=r"predictor 2: bin index outside 1\.\.3"):
                 ws.Sample(X=X, Y=np.array([1, 0, 0]), bin_counts=(2, 3))
+
+    @pytest.mark.parametrize("bin_counts", [(2.5,), ("2",)], ids=["float", "str"])
+    def test_non_integer_bin_counts_refused_naming_the_field(self, bin_counts):
+        # a float used to raise a bare TypeError that named no field
+        with pytest.raises(ValueError, match="bin_counts must be an integer"):
+            ws.Sample(X=[[1], [2]], Y=[1, 0], bin_counts=bin_counts)
+
+    @pytest.mark.parametrize(
+        ("X", "Y"),
+        [(np.ones((3, 1), dtype=np.int64), [1, 0]), (np.ones(3, dtype=np.int64), [1, 0, 0]),
+         (np.ones((3, 1), dtype=np.int64), [[1, 0, 0]])],
+        ids=["rows", "1-D X", "2-D Y"],
+    )
+    def test_shape_mismatch_refused(self, X, Y):
+        with pytest.raises(ValueError, match=r"X must be \(n, d\) and Y length n"):
+            ws.Sample(X=X, Y=Y, bin_counts=(1,))
 
     def test_bin_counts_of_another_length_refused(self):
         with pytest.raises(ValueError, match="2 predictors but 3 bin counts"):
@@ -280,9 +308,11 @@ class TestGenerateCells:
             ws.generate_cells(ws.CONFIG_B, plan, ws.RngStream(1, 0, "train"))
 
     def test_no_cell_table_below_one_row_per_cell(self):
-        # the (K, d) table is built for a bin space only once a split of
-        # it reduces, never for a large space such as a d=6 config's
-        before = sampling._cell_space.cache_info()
+        # the (K, d) cell table is built only once a split has a row per
+        # cell, never for a large space such as a d=6 config's
+        sampling.guide_table.cache_clear()
         ws.run_iteration(ws.CONFIG_B, ws.make_plan(150, ws.EventRate(0.1)), 1, 0)
-        after = sampling._cell_space.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        table = sampling.guide_table(ws.CONFIG_B.predictors)
+        assert "cells" not in vars(table)
+        ws.generate_cells(ws.CONFIG_B, ws.make_plan(192, ws.EventRate(0.1)), ws.RngStream(1, 0, "train"))
+        assert table.cells.shape == (192, 4) and "cells" in vars(table)

@@ -227,6 +227,17 @@ class TestFitLogistic:
         with pytest.raises(ws.DegenerateDesign):
             ws.fit_logistic(np.zeros((5, 1)), np.ones(5))
 
+    @pytest.mark.parametrize(
+        ("features", "responses", "message"),
+        [(np.zeros(4), np.array([1, 0, 1, 0]), "features must be 2-dimensional"),
+         (np.zeros((4, 1)), np.array([1, 0, 1]), "responses length must match feature rows"),
+         (np.zeros((4, 1)), np.array([[1, 0, 1, 0]]), "responses length must match feature rows")],
+        ids=["1-D features", "short responses", "2-D responses"],
+    )
+    def test_misshapen_inputs_rejected(self, features, responses, message):
+        with pytest.raises(ValueError, match=message):
+            ws.fit_logistic(features, responses)
+
     def test_nonfinite_features_rejected(self):
         F = np.zeros((4, 1))
         F[0] = np.inf

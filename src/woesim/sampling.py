@@ -118,11 +118,11 @@ class Sample:
         return sample
 
     def _set(self, X, Y, bin_counts, w) -> None:
-        X.flags.writeable = Y.flags.writeable = w.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "bin_counts", bin_counts)
-        object.__setattr__(self, "w", w)
+        for array in (X, Y, w):
+            array.setflags(write=False)
+        # one write of the instance dict sets the frozen fields, cheaper than a
+        # setattr per field
+        vars(self).update(X=X, Y=Y, bin_counts=bin_counts, w=w)
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -190,7 +191,13 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     identical rows, so a sample reduced to weighted cells fits the same
     model as the rows behind it.
 
-    Starts at beta = 0 and declares convergence when the score vector's
+    Starts at the WoE model's Bayes point: the intercept at the sample's
+    weighted log-odds, log(event weight / nonevent weight), and every slope
+    at -1, the coefficients of the population log-odds
+    ``logit(pi) - sum_j WoE_j`` of a product-form config; a feature column
+    with no spread starts at 0.  Where that point is less likely than
+    beta = 0, as it can be on features that are not WoE, the fit starts at
+    beta = 0 instead.  Declares convergence when the score vector's
     max-norm drops under 1e-8 or the log-likelihood moves by less than
     1e-10; a hard cap of 50 iterations keeps separated fits finite (they
     come back flagged, never infinite, thanks to the linear-predictor
@@ -208,7 +215,8 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     w = _check_weights(weights, X.shape[0]).astype(float)
     event_w, nonevent_w = w * y, w * (1.0 - y)
     event_weight = float(event_w.sum())
-    if event_weight == 0.0 or event_weight == float(w.sum()):
+    nonevent_weight = float(w.sum()) - event_weight
+    if event_weight == 0.0 or nonevent_weight == 0.0:
         raise DegenerateDesign("responses are all one class; MLE is unbounded")
 
     design = np.column_stack([np.ones(X.shape[0]), X])
@@ -217,9 +225,19 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     curvature = np.empty_like(y)
     scaled = np.empty_like(design)
     terms = np.empty_like(y), np.empty_like(y)
-    beta = np.zeros(design.shape[1])
+    # a least-squares step never moves along a singular direction, so a
+    # constant column keeps its start: 0, not -1
+    slopes = np.where(np.ptp(X, axis=0) > 0, -1.0, 0.0)
+    beta = np.concatenate([[math.log(event_weight / nonevent_weight)], slopes])
     p = _clamped_probs(design @ beta)
     ll = _loglik(event_w, nonevent_w, p, *terms)
+    # the Bayes point suits WoE features; on others it can lie far out, where
+    # the clamp flattens the likelihood and Newton can stall on a plateau, so
+    # a start less likely than beta = 0 (every probability 1/2) gives way to 0
+    if ll < math.log(0.5) * (event_weight + nonevent_weight):
+        beta = np.zeros(design.shape[1])
+        p = _clamped_probs(design @ beta)
+        ll = _loglik(event_w, nonevent_w, p, *terms)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):

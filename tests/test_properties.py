@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import woesim as ws
@@ -312,6 +312,32 @@ def test_weighted_fit_matches_replicated_rows(data):
     )
     np.testing.assert_allclose(weighted.beta, replicated.beta, rtol=0, atol=1e-9 + slack)
     assert weighted.loglik == pytest.approx(replicated.loglik, rel=1e-12)
+
+
+@given(weighted_designs(), st.data())
+def test_fit_solves_the_intercept_score_equation_in_any_row_order(design, data):
+    # properties of the MLE, whatever point the fit starts from: the fitted
+    # events sum to the observed ones, and the fitted probabilities do not
+    # depend on the order of the rows
+    F, y, weights = design
+    # a design of full column rank, so the MLE is unique
+    assume(np.linalg.matrix_rank(np.column_stack([np.ones(len(F)), F])) == F.shape[1] + 1)
+    model = ws.fit_logistic(F, y, weights)
+    assert model.converged
+    probs = ws.predict_proba(model, F)
+    assert abs(weights @ (y - probs)) <= 1e-6 * weights.sum()
+    order = np.asarray(data.draw(st.permutations(range(len(y)))))
+    shuffled = ws.fit_logistic(F[order], y[order], weights[order])
+    # each fit stops a little short of the MLE (see
+    # ``test_weighted_fit_matches_replicated_rows``); with |x| <= 3 and at
+    # most 2 features a coefficient off by s moves a probability by at most
+    # 7s / 4, so beyond that the probabilities agree to 1e-9
+    slack = _distance_to_mle(F, y, weights, model.beta) + _distance_to_mle(
+        F, y, weights, shuffled.beta
+    )
+    np.testing.assert_allclose(
+        ws.predict_proba(shuffled, F), probs, rtol=0, atol=1e-9 + 2 * slack
+    )
 
 
 @st.composite

@@ -210,6 +210,26 @@ class TestFitLogistic:
         assert model.beta[0] == pytest.approx(math.log(0.2 / 0.8), abs=1e-8)
         assert model.beta[1] == 0.0 and model.beta[2] == 0.0
 
+    def test_saturated_woe_model_starts_at_its_mle(self):
+        # one predictor, no adjustment and both classes in every bin: the WoE
+        # model is saturated (each bin's fitted rate is its observed rate), so
+        # its MLE is the Bayes point (log(n1 / n0), -1) the fit starts at
+        sample = build_sample([1, 1, 2, 2, 3, 3], [1, 0, 1, 0, 1, 0], (3,), w=[2, 10, 5, 5, 8, 3])
+        F = ws.transform(sample, ws.estimate_woe(sample, theta_adj=0.0))
+        model = ws.fit_logistic(F, sample.Y, sample.w)
+        assert model.beta == (math.log(15 / 18), -1.0)
+        assert model.converged and model.iterations == 1
+
+    def test_start_less_likely_than_zero_gives_way_to_zero(self):
+        # features far from WoE coding put the Bayes point (log(5/7), -1, -1)
+        # at loglik -40.1, below beta = 0's -8.3; Newton from there stalled on
+        # the clamp's plateau at beta ~ 1e12 and loglik -35.3, reported converged
+        F = np.repeat([[-2.0, -3.0], [3.0, 3.0], [2.0, 1.0], [3.0, 2.0]], 2, axis=0)
+        y = np.tile([1.0, 0.0], 4)
+        model = ws.fit_logistic(F, y, [1, 4, 2, 1, 1, 1, 1, 1])
+        assert model.converged
+        assert model.loglik == pytest.approx(-7.195675196256914, abs=1e-9)
+
     def test_separation_stays_finite_and_bounded(self):
         x = np.concatenate([np.full(10, 1.0), np.full(10, -1.0)])
         y = (x > 0).astype(float)
@@ -358,26 +378,26 @@ def small_n_design(config_id, n, rate, iteration):
 # exact reprs of the fits, so a reordered reduction or a changed step shows
 # as a changed last digit
 SMALL_N_FITS = {
-    ("A", 50, 0.01, 0): "FittedModel(beta=(-108.65729058531159, -31.2834578205591, -3.860304081387943, -17.372975679564842, -12.481818541547641), converged=True, iterations=24, loglik=-1.0374013750901729e-08)",
-    ("A", 100, 0.05, 1): "FittedModel(beta=(-5.28563727526267, -2.1359155127422604, -1.7017901196747156, -1.501371746017343, -2.056018585460329), converged=True, iterations=8, loglik=-15.102847590557529)",
-    ("A", 150, 0.1, 2): "FittedModel(beta=(-3.042036159034055, -1.2691101309922894, -1.1606002146181418, -3.279800549346363, -1.355807389759871), converged=True, iterations=7, loglik=-42.97017637180927)",
-    ("A", 200, 0.01, 3): "FittedModel(beta=(-695.6403571107546, -21.927424573593317, -55.09177637736895, -361.1090087536281, -152.05086623500398), converged=True, iterations=29, loglik=-1.3862943742932723)",
-    ("A", 250, 0.05, 4): "FittedModel(beta=(-3.7364717208981593, -1.6312214747567133, -1.2654643629853664, -1.1181245603022203, -1.0202490955477317), converged=True, iterations=8, loglik=-35.23666788607657)",
-    ("B", 50, 0.01, 5): "FittedModel(beta=(-27.71942446876944, -0.6812306300238505, -9.556694555832202, 0.9155666053668243, -0.3812377826047757), converged=True, iterations=23, loglik=-4.986279512557537e-09)",
-    ("B", 100, 0.05, 6): "FittedModel(beta=(-5.782770003203808, -1.4601325860146996, -2.240006252278593, -1.4245025466245596, -1.7749241775908282), converged=True, iterations=9, loglik=-11.415443926359016)",
-    ("B", 150, 0.1, 7): "FittedModel(beta=(-2.983172899939029, -1.1916994209419831, -0.9465652337483269, -1.3127603727799235, -1.8923970641368304), converged=True, iterations=8, loglik=-30.568941072936923)",
-    ("B", 200, 0.01, 8): "FittedModel(beta=(-130.60434006320185, -27.594724406870228, 20.399876484192735, -32.5748933813425, -17.541804440023398), converged=True, iterations=26, loglik=-2.0618330303616858e-08)",
-    ("B", 250, 0.05, 9): "FittedModel(beta=(-4.154601298099074, -1.108981109193073, -1.3669926069116785, -1.0031783685696651, -1.6024355616117996), converged=True, iterations=9, loglik=-28.19262614151603)",
-    ("C", 50, 0.01, 10): "FittedModel(beta=(-347.35939127760065, -36.06574861764049, -45.38334945449401, 74.0466918924458, -227.1438354213693), converged=True, iterations=25, loglik=-1.5113088530592525e-08)",
-    ("C", 100, 0.05, 11): "FittedModel(beta=(-6.174012572518297, -1.2349282942872417, -2.9564208472364566, -0.3830057256061911, -2.113048370517673), converged=True, iterations=10, loglik=-9.878717081717197)",
-    ("C", 150, 0.1, 12): "FittedModel(beta=(-3.9096861460946624, -1.2463614171628135, -0.7333086407341226, -1.3541291526624533, -3.2143945991489398), converged=True, iterations=10, loglik=-17.794158935808625)",
-    ("C", 200, 0.01, 13): "FittedModel(beta=(-69.9421439983068, -18.2730255756534, -2.378219190974227, -17.935760089938803, -2.5803834970509194), converged=True, iterations=27, loglik=-3.1184542385664553)",
-    ("C", 250, 0.05, 14): "FittedModel(beta=(-5.348058144087577, -1.1579563380353863, -1.5019562561950899, -1.0703993982317312, -3.1689971861484416), converged=True, iterations=11, loglik=-10.647229070631107)",
-    ("D", 50, 0.01, 15): "FittedModel(beta=(-34.57010885419625, -1.0262867195848637, -2.8331164602463392, -5.5391618022775075, -4.6638003344350345), converged=True, iterations=23, loglik=-9.736263143202427e-09)",
-    ("D", 100, 0.05, 16): "FittedModel(beta=(-53.831335273694805, -2.1583284497322928, -9.429602888711424, -15.279309548779619, -16.241012258663112), converged=True, iterations=25, loglik=-1.3057185125016716e-08)",
-    ("D", 150, 0.1, 17): "FittedModel(beta=(-27.43289873777288, -11.08633745153031, -9.855826581201104, -3.924180824409026, -11.635836373689415), converged=True, iterations=26, loglik=-6.960815497791403e-09)",
-    ("D", 200, 0.01, 18): "FittedModel(beta=(-76.65299758357759, -6.121756588769512, -10.51615835834136, -19.394201579193485, -12.575943994892084), converged=True, iterations=25, loglik=-2.3039297956973755e-08)",
-    ("D", 250, 0.05, 19): "FittedModel(beta=(-40.38181175001962, -11.744202042777774, -13.049761963574547, -13.623462395371781, -21.899699633418034), converged=True, iterations=25, loglik=-3.9403952569188556e-08)",
+    ("A", 50, 0.01, 0): "FittedModel(beta=(-108.55784443534256, -31.39136217525826, -3.585505853175914, -17.074922185674414, -12.789632899901914), converged=True, iterations=24, loglik=-1.0182876728341079e-08)",
+    ("A", 100, 0.05, 1): "FittedModel(beta=(-5.285637275262656, -2.135915512742252, -1.70179011967471, -1.5013717460173392, -2.056018585460319), converged=True, iterations=6, loglik=-15.102847590557529)",
+    ("A", 150, 0.1, 2): "FittedModel(beta=(-3.0420361565804317, -1.2691101310581765, -1.1606002144800953, -3.279800535913632, -1.355807389477052), converged=True, iterations=6, loglik=-42.97017637180927)",
+    ("A", 200, 0.01, 3): "FittedModel(beta=(-697.0467468156669, -21.97357346594212, -55.18998431486015, -361.8542433758025, -152.35632897738807), converged=True, iterations=27, loglik=-1.3862943738042317)",
+    ("A", 250, 0.05, 4): "FittedModel(beta=(-3.7364717213252785, -1.6312214752422254, -1.2654643632571705, -1.1181245604171057, -1.0202490956565502), converged=True, iterations=5, loglik=-35.23666788607657)",
+    ("B", 50, 0.01, 5): "FittedModel(beta=(-28.485179722206958, -1.0560862886494171, -9.133761018930858, 0.40625075897402285, -1.107671968859689), converged=True, iterations=22, loglik=-7.311136576147664e-09)",
+    ("B", 100, 0.05, 6): "FittedModel(beta=(-5.7827699837512645, -1.4601325804424767, -2.2400062372178953, -1.4245025440780208, -1.7749241734790022), converged=True, iterations=7, loglik=-11.415443926359018)",
+    ("B", 150, 0.1, 7): "FittedModel(beta=(-2.9831728999413403, -1.1916994209419278, -0.9465652337486593, -1.3127603727798947, -1.8923970641408707), converged=True, iterations=6, loglik=-30.568941072936923)",
+    ("B", 200, 0.01, 8): "FittedModel(beta=(-128.6296860035089, -27.007685884012204, 19.356466701533346, -31.909619018881894, -17.27608580071348), converged=True, iterations=23, loglik=-2.9212177232932016e-08)",
+    ("B", 250, 0.05, 9): "FittedModel(beta=(-4.15460129151643, -1.1089811088560078, -1.3669926051757562, -1.0031783688622404, -1.602435556319272), converged=True, iterations=6, loglik=-28.19262614151603)",
+    ("C", 50, 0.01, 10): "FittedModel(beta=(-345.6780748583415, -35.89604615811443, -45.194144974679055, 74.17647987574102, -226.40829647170253), converged=True, iterations=24, loglik=-1.649158867794101e-08)",
+    ("C", 100, 0.05, 11): "FittedModel(beta=(-6.174012572515043, -1.2349282942869817, -2.9564208472342557, -0.38300572560636265, -2.1130483705157523), converged=True, iterations=7, loglik=-9.878717081717193)",
+    ("C", 150, 0.1, 12): "FittedModel(beta=(-3.909686145775162, -1.2463614170898076, -0.7333086407323092, -1.354129152541409, -3.214394598699996), converged=True, iterations=7, loglik=-17.794158935808625)",
+    ("C", 200, 0.01, 13): "FittedModel(beta=(-69.41953722556194, -18.04795447727905, -2.378219190972299, -17.89971560919218, -2.580383497049479), converged=True, iterations=24, loglik=-3.118454239153447)",
+    ("C", 250, 0.05, 14): "FittedModel(beta=(-5.348058144088805, -1.1579563380354267, -1.501956256195285, -1.0703993982319469, -3.1689971861498694), converged=True, iterations=7, loglik=-10.647229070631107)",
+    ("D", 50, 0.01, 15): "FittedModel(beta=(-35.76403548680519, -2.147759525606662, -3.8590655676814083, -4.852097262167814, -4.373005613691609), converged=True, iterations=21, loglik=-9.936000932237554e-09)",
+    ("D", 100, 0.05, 16): "FittedModel(beta=(-52.7409233990707, -2.165701160097324, -9.447204980850252, -17.534793652484037, -16.325784725173744), converged=True, iterations=22, loglik=-1.275221664779564e-08)",
+    ("D", 150, 0.1, 17): "FittedModel(beta=(-26.849386056000014, -11.402956060866053, -10.139460717077498, -5.069197368694819, -11.922898158842102), converged=True, iterations=21, loglik=-6.047629129669433e-09)",
+    ("D", 200, 0.01, 18): "FittedModel(beta=(-78.91932263060986, -6.391583314901353, -10.825423555086873, -20.55713939556398, -12.938123792726566), converged=True, iterations=22, loglik=-1.385735834064136e-08)",
+    ("D", 250, 0.05, 19): "FittedModel(beta=(-42.16807729975337, -12.341749769704503, -13.604967762859214, -14.05938843002046, -22.677583015947995), converged=True, iterations=21, loglik=-1.8703339260020385e-08)",
 }
 
 
@@ -387,8 +407,8 @@ class TestGoldenFits:
         y = np.zeros(30)
         y[0] = 1
         assert repr(ws.fit_logistic(x[:, None], y)) == (
-            "FittedModel(beta=(-56.338274727743084, 37.81265259432321), converged=True, "
-            "iterations=23, loglik=-1.3858912976096139e-08)"
+            "FittedModel(beta=(-55.0085486294851, 36.95331757317684), converged=True, "
+            "iterations=22, loglik=-2.1725774379042542e-08)"
         )
 
     def test_constant_column_takes_lstsq_fallback(self, monkeypatch):
@@ -415,8 +435,8 @@ class TestGoldenFits:
         F, y, w = small_n_design("B", 1000, 0.05, 0)
         assert len(y) < 1000
         assert repr(ws.fit_logistic(F, y, w)) == (
-            "FittedModel(beta=(-3.214867124768384, -1.0323090406827005, -1.0235970554027707, "
-            "-1.064665251985866, -1.2309603011355084), converged=True, iterations=9, "
+            "FittedModel(beta=(-3.214867125504757, -1.0323090408340705, -1.0235970553760956, "
+            "-1.0646652522035398, -1.2309603019212525), converged=True, iterations=5, "
             "loglik=-148.54487126231427)"
         )
 

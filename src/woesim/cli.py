@@ -198,7 +198,7 @@ def _cmd_report(args) -> int:
     config_id, metric, split = parts
     summary = io.load_summary_csv(args.inp)
     svg = emit_chart(summary, config_id, metric, split)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    io.save_chart(svg, args.out)
     print(f"wrote chart to {args.out}")
     return EXIT_OK
 

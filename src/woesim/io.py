@@ -5,6 +5,9 @@ Each format is described once, by its type: the config JSON keys are the
 fields of its record type.  All CSV numeric fields use the shortest
 decimal representation that parses back to the identical double, so
 save/load round-trips are lossless.
+
+Every output file is opened by ``_create``, which replaces an existing
+regular file with a new one rather than truncating it in place.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, get_type_hints
@@ -85,9 +90,34 @@ def load_config(path) -> ConfigSpec:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _create(path, newline=None):
+    """Open ``path`` for writing text as a new file.
+
+    An existing regular file is unlinked first: on ext4, truncating a file
+    whose last write has not reached disk can wait for that write-back,
+    while unlinking and creating does not.  So other hard links keep the
+    old content and the new file takes the default mode.  A symlink, a device or a FIFO is written
+    through in place, as is a file the OS refuses to unlink.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        # missing (open creates it) or not unlinkable (open truncates it)
+        pass
+    return open(path, "w", newline=newline, encoding="utf-8")
+
+
 def save_config(config: ConfigSpec, path) -> None:
     """Write a configuration as schema-conformant JSON."""
-    Path(path).write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n", encoding="utf-8")
+    with _create(path) as fh:
+        fh.write(json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+
+
+def save_chart(svg: str, path) -> None:
+    """Write an SVG chart from ``charts.emit_chart``."""
+    with _create(path) as fh:
+        fh.write(svg)
 
 
 def resolve_config(spec: str) -> ConfigSpec:
@@ -158,7 +188,7 @@ def _save_records(cls, records: Iterable, path) -> None:
     header, codecs = _COLUMNS[cls]
     # a record is the tuple of its row
     rows = iter(records)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         while chunk := list(islice(rows, _CHUNK_ROWS)):

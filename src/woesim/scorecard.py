@@ -183,6 +183,22 @@ def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.stack([_newton_step(m, v) for m, v in zip(hessian, grad)])
 
 
+def _halve_step(design, event_w, nonevent_w, beta, step, ll, terms):
+    """The first step-halving trial from ``beta`` whose log-likelihood is not
+    below ``ll`` (NaN included), as ``(beta, p, ll)``, or None when every
+    trial's is.  Trial 0 takes the full ``step``, each later trial half the
+    one before, up to ``_MAX_HALVINGS`` halvings; ``terms`` are the
+    ``_loglik`` buffers."""
+    for _ in range(_MAX_HALVINGS + 1):
+        new_beta = beta + step
+        new_p = _clamped_probs(design @ new_beta)
+        new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
+        if not new_ll < ll:
+            return new_beta, new_p, new_ll
+        step = 0.5 * step
+    return None
+
+
 def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> FittedModel:
     """Fit the Bernoulli MLE by Newton iterations with step halving.
 
@@ -201,7 +217,8 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
     max-norm drops under 1e-8 or the log-likelihood moves by less than
     1e-10; a hard cap of 50 iterations keeps separated fits finite (they
     come back flagged, never infinite, thanks to the linear-predictor
-    clamp).
+    clamp).  A step none of whose halvings is as likely as the current beta
+    is not taken: the fit stops there, not converged.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -253,17 +270,12 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
         curvature *= resid
         np.multiply(design, curvature[:, None], out=scaled)
         step = _newton_step(scaled.T @ design, grad)
-        # trial 0 takes the full step, each later trial half the one before;
-        # the first trial whose log-likelihood is not below ll (NaN included) is kept
-        for _ in range(_MAX_HALVINGS + 1):
-            new_beta = beta + step
-            new_p = _clamped_probs(design @ new_beta)
-            new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
-            if not new_ll < ll:
-                break
-            step = 0.5 * step
-        moved = abs(new_ll - ll)
-        beta, p, ll = new_beta, new_p, new_ll
+        trial = _halve_step(design, event_w, nonevent_w, beta, step, ll, terms)
+        if trial is None:
+            # no trial is as likely as the current beta: keep it, not converged
+            break
+        moved = abs(trial[2] - ll)
+        beta, p, ll = trial
         if moved < _LOGLIK_TOL:
             converged = True
             break

@@ -9,6 +9,9 @@ those names.
 Every draw is addressed by (master_seed, iteration, role) through an
 ``RngStream``, so no other module may build, take or test for a numpy
 generator; annotating a parameter with its type is allowed.
+
+Likewise only ``io.py`` opens a file for writing, so every output goes
+through its one helper and is replaced, not truncated in place.
 """
 
 import ast
@@ -130,3 +133,49 @@ def test_the_check_sees_numpy_random_outside_annotations():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rng.py"], ids=lambda p: p.name)
 def test_only_rng_reaches_numpy_random(path):
     assert numpy_random_uses(path.read_text(encoding="utf-8")) == []
+
+
+def write_opens(source: str) -> list[int]:
+    """The lines where ``source`` opens a file for writing: ``open`` or an
+    ``.open`` method with a mode that is not a literal read mode (so one
+    holding w, x, a or +, or computed), ``write_text`` or ``write_bytes``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # the mode follows the path of ``open`` and comes first for ``Path.open``
+            position = 1 if isinstance(node.func, ast.Name) else 0
+            modes = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wxa+")
+                for m in modes
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_every_write_open():
+    source = (
+        "from pathlib import Path\n"
+        "def f(path, mode):\n"
+        "    open(path).read()\n"
+        "    open(path, 'rb').read()\n"
+        "    Path(path).open(encoding='utf-8').read()\n"
+        "    open(path, 'w')\n"
+        "    open(path, mode='x', newline='')\n"
+        "    Path(path).open('a')\n"
+        "    open(path, 'r+b')\n"
+        "    open(path, mode)\n"
+        "    Path(path).write_text('')\n"
+        "    Path(path).write_bytes(b'')\n"
+    )
+    assert write_opens(source) == [6, 7, 8, 9, 10, 11, 12]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "io.py"], ids=lambda p: p.name)
+def test_only_io_opens_a_file_for_writing(path):
+    assert write_opens(path.read_text(encoding="utf-8")) == []

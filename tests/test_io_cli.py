@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -206,6 +207,61 @@ def test_readme_file_formats_match_written_headers(tmp_path):
         save(empty, path)
         written[name] = path.read_text(encoding="utf-8").rstrip("\r\n")
     assert documented == written
+
+
+#: Each kind of output file the package writes, written to a path.
+WRITERS = {
+    "config": lambda path: io.save_config(ws.CONFIG_B, path),
+    "csv": lambda path: io.save_guideline_csv(ws.guideline_table({}), path),
+    "chart": lambda path: io.save_chart('<svg xmlns="http://www.w3.org/2000/svg"/>\n', path),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+class TestOutputFiles:
+    """An existing regular output file is replaced by a new file; any other
+    kind of path is written through in place."""
+
+    @staticmethod
+    def expected(tmp_path, write) -> bytes:
+        fresh = tmp_path / "fresh"
+        write(fresh)
+        return fresh.read_bytes()
+
+    def test_a_hard_link_to_the_output_keeps_its_content(self, tmp_path, write):
+        out, other = tmp_path / "out", tmp_path / "other"
+        out.write_text("old\n")
+        os.link(out, other)
+        write(out)
+        assert other.read_text() == "old\n"
+        assert out.read_bytes() == self.expected(tmp_path, write)
+        assert not os.path.samefile(out, other)
+
+    def test_dev_null_stays_a_character_device(self, tmp_path, write):
+        write(os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_a_symlinked_output_is_written_through_its_link(self, tmp_path, write):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        write(link)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == self.expected(tmp_path, write)
+
+    def test_an_output_that_cannot_be_unlinked_is_written_in_place(self, tmp_path, write, monkeypatch):
+        out, other = tmp_path / "out", tmp_path / "other"
+        out.write_text("old\n" * 1000)
+        os.link(out, other)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        write(out)
+        monkeypatch.undo()
+        assert os.path.samefile(out, other)
+        assert other.read_bytes() == self.expected(tmp_path, write)
 
 
 class TestCharts:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import woesim as ws
-from woesim.scorecard import _clamped_probs, _loglik
+from woesim import scorecard
+from woesim.scorecard import _clamped_probs, _halve_step, _loglik, _newton_step
 
 
 def build_sample(bins_by_row, labels, bin_counts, w=None):
@@ -229,6 +230,40 @@ class TestFitLogistic:
         model = ws.fit_logistic(F, y, [1, 4, 2, 1, 1, 1, 1, 1])
         assert model.converged
         assert model.loglik == pytest.approx(-7.195675196256914, abs=1e-9)
+
+    def test_halving_finds_no_trial_as_likely_on_the_plateau_step(self):
+        # the trace behind the start guard above: from the Bayes point, step 1
+        # raises the loglik -40.13 -> -39.45 and step 2 (~3.6e12 per slope)
+        # lowers it at every one of its 31 trials; the fit used to take the
+        # last one and stall on the clamp's plateau at loglik -35.3, "converged"
+        F = np.repeat([[-2.0, -3.0], [3.0, 3.0], [2.0, 1.0], [3.0, 2.0]], 2, axis=0)
+        y = np.tile([1.0, 0.0], 4)
+        w = np.array([1.0, 4.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        event_w, nonevent_w = w * y, w * (1.0 - y)
+        design = np.column_stack([np.ones(8), F])
+        terms = np.empty(8), np.empty(8)
+        beta = np.array([math.log(5 / 7), -1.0, -1.0])
+        p = _clamped_probs(design @ beta)
+        ll = _loglik(event_w, nonevent_w, p, *terms)
+
+        def newton_step(p):
+            hessian = (design * (w * p * (1.0 - p))[:, None]).T @ design
+            return _newton_step(hessian, design.T @ (w * (y - p)))
+
+        beta, p, ll = _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll, terms)
+        assert ll == pytest.approx(-39.453656520748936, abs=1e-9)
+        assert _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll, terms) is None
+
+    def test_fit_keeps_its_beta_when_no_halving_is_as_likely(self, monkeypatch):
+        # a step against the score lowers the loglik at every halving down to
+        # 2**-30 of it, so the fit keeps its start (beta = 0 on this design,
+        # whose Bayes point is less likely) and is not converged
+        monkeypatch.setattr(scorecard, "_newton_step", lambda hessian, grad: -1e6 * grad)
+        F = np.array([[0.5], [-0.5], [0.5], [-0.5]])
+        model = ws.fit_logistic(F, np.array([1.0, 0.0, 0.0, 0.0]))
+        assert model.beta == (0.0, 0.0)
+        assert model.loglik == pytest.approx(4 * math.log(0.5), abs=1e-12)
+        assert not model.converged and model.iterations == 1
 
     def test_separation_stays_finite_and_bounded(self):
         x = np.concatenate([np.full(10, 1.0), np.full(10, -1.0)])

@@ -7,6 +7,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -157,6 +158,13 @@ def _cmd_guideline(args) -> int:
     ]
     if not rows:
         raise EmptyCell(f"summary has no {args.metric}/test rows at n={args.n}")
+    # refused before any fit, naming the row, as ``report`` names its rows
+    for r in rows:
+        if not math.isfinite(r.median):
+            raise InsufficientPoints(
+                f"summary row of config {r.config_id} (aiv {r.aiv:g}) at n={r.n}, "
+                f"rate={r.event_rate:g} has a non-finite {r.metric} median, which a curve cannot fit"
+            )
     fits = {}
     for rate in sorted({r.event_rate for r in rows}):
         points = sorted(

@@ -150,6 +150,8 @@ def fit_logistic_curve(points: Sequence[tuple[float, float]]) -> CurveFit:
         raise InsufficientPoints(f"curve fit needs at least 4 points, got {len(pts)}")
     a = np.asarray([p[0] for p in pts])
     y = np.asarray([p[1] for p in pts])
+    if not (np.isfinite(a).all() and np.isfinite(y).all()):
+        raise InsufficientPoints("curve fit needs finite points")
     if np.unique(a).size != a.size:
         raise InsufficientPoints("curve fit needs distinct strength values")
 

@@ -38,7 +38,7 @@ class DegenerateDesign(WoesimError):
 
 
 class InsufficientPoints(WoesimError):
-    """Too few (or non-distinct) points for a curve fit."""
+    """Too few, non-distinct or non-finite points for a curve fit."""
 
 
 class CurveFitError(WoesimError):

@@ -91,14 +91,14 @@ def _check_scores(probs, labels, weights) -> tuple[np.ndarray, np.ndarray, np.nd
     return p, y, _check_weights(weights, p.size)
 
 
-def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _class_counts(slot: np.ndarray, n_slots: int, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Counts per slot, events in row 0 and nonevents in row 1: the one
     count kernel of the package (``estimate_woe`` and every metric count
     through it).
 
-    ``w`` holds nonnegative integer row weights (None: one per row); a row
-    of weight w counts exactly as w identical rows.  Integer weights sum
-    exactly in bincount's float64 far beyond any sample size.
+    ``w`` holds nonnegative integer row weights; a row of weight w counts
+    exactly as w identical rows.  Integer weights sum exactly in bincount's
+    float64 far beyond any sample size.
     """
     tally = np.bincount(slot + n_slots * (y != 1), w, minlength=2 * n_slots)
     return tally.astype(np.int64, copy=False).reshape(2, n_slots)

@@ -134,28 +134,16 @@ def transform(sample: Sample, table: WoeTable) -> np.ndarray:
 
 
 def _clamped_probs(eta: np.ndarray) -> np.ndarray:
-    """Clamp the linear predictors and map them through the sigmoid, in place:
-    ``eta`` is overwritten with the probabilities and returned."""
+    """Clamp the linear predictors and map them through the sigmoid."""
     # minimum/maximum equal np.clip here and skip its Python-level dispatch
-    np.maximum(eta, -LINEAR_PREDICTOR_CLAMP, out=eta)
-    np.minimum(eta, LINEAR_PREDICTOR_CLAMP, out=eta)
-    np.negative(eta, out=eta)
-    np.exp(eta, out=eta)
-    eta += 1.0
-    return np.divide(1.0, eta, out=eta)
+    clamped = np.minimum(np.maximum(eta, -LINEAR_PREDICTOR_CLAMP), LINEAR_PREDICTOR_CLAMP)
+    return 1.0 / (1.0 + np.exp(-clamped))
 
 
-def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray, a, b) -> float:
+def _loglik(event_w: np.ndarray, nonevent_w: np.ndarray, p: np.ndarray) -> float:
     """Log-likelihood of rows weighing ``event_w`` as events and ``nonevent_w``
-    as nonevents, ``event_w * log(p) + nonevent_w * log1p(-p)`` summed.  The
-    two terms are formed in ``a`` and ``b``, buffers shaped like ``p``."""
-    a = np.log(p, out=a)
-    a *= event_w
-    b = np.negative(p, out=b)
-    np.log1p(b, out=b)
-    b *= nonevent_w
-    a += b
-    return float(a.sum())
+    as nonevents, ``event_w * log(p) + nonevent_w * log1p(-p)`` summed."""
+    return float((np.log(p) * event_w + np.log1p(-p) * nonevent_w).sum())
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -183,16 +171,15 @@ def _newton_step(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.stack([_newton_step(m, v) for m, v in zip(hessian, grad)])
 
 
-def _halve_step(design, event_w, nonevent_w, beta, step, ll, terms):
+def _halve_step(design, event_w, nonevent_w, beta, step, ll):
     """The first step-halving trial from ``beta`` whose log-likelihood is not
     below ``ll`` (NaN included), as ``(beta, p, ll)``, or None when every
     trial's is.  Trial 0 takes the full ``step``, each later trial half the
-    one before, up to ``_MAX_HALVINGS`` halvings; ``terms`` are the
-    ``_loglik`` buffers."""
+    one before, up to ``_MAX_HALVINGS`` halvings."""
     for _ in range(_MAX_HALVINGS + 1):
         new_beta = beta + step
         new_p = _clamped_probs(design @ new_beta)
-        new_ll = _loglik(event_w, nonevent_w, new_p, *terms)
+        new_ll = _loglik(event_w, nonevent_w, new_p)
         if not new_ll < ll:
             return new_beta, new_p, new_ll
         step = 0.5 * step
@@ -237,40 +224,30 @@ def fit_logistic(features: np.ndarray, responses: np.ndarray, weights=None) -> F
         raise DegenerateDesign("responses are all one class; MLE is unbounded")
 
     design = np.column_stack([np.ones(X.shape[0]), X])
-    # per-fit buffers, refilled by every Newton step
-    resid = np.empty_like(y)
-    curvature = np.empty_like(y)
-    scaled = np.empty_like(design)
-    terms = np.empty_like(y), np.empty_like(y)
     # a least-squares step never moves along a singular direction, so a
     # constant column keeps its start: 0, not -1
     slopes = np.where(np.ptp(X, axis=0) > 0, -1.0, 0.0)
     beta = np.concatenate([[math.log(event_weight / nonevent_weight)], slopes])
     p = _clamped_probs(design @ beta)
-    ll = _loglik(event_w, nonevent_w, p, *terms)
+    ll = _loglik(event_w, nonevent_w, p)
     # the Bayes point suits WoE features; on others it can lie far out, where
     # the clamp flattens the likelihood and Newton can stall on a plateau, so
     # a start less likely than beta = 0 (every probability 1/2) gives way to 0
     if ll < math.log(0.5) * (event_weight + nonevent_weight):
         beta = np.zeros(design.shape[1])
         p = _clamped_probs(design @ beta)
-        ll = _loglik(event_w, nonevent_w, p, *terms)
+        ll = _loglik(event_w, nonevent_w, p)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        np.subtract(y, p, out=resid)
-        resid *= w
-        grad = design.T @ resid
+        grad = design.T @ ((y - p) * w)
         # max-norm under the tolerance; a NaN entry fails it, as in numpy
         if all(abs(g) < _GRAD_TOL for g in grad.tolist()):
             converged = True
             break
-        np.subtract(1.0, p, out=resid)  # the residual is spent: reuse it for 1 - p
-        np.multiply(w, p, out=curvature)
-        curvature *= resid
-        np.multiply(design, curvature[:, None], out=scaled)
-        step = _newton_step(scaled.T @ design, grad)
-        trial = _halve_step(design, event_w, nonevent_w, beta, step, ll, terms)
+        curvature = w * p * (1.0 - p)
+        step = _newton_step((design * curvature[:, None]).T @ design, grad)
+        trial = _halve_step(design, event_w, nonevent_w, beta, step, ll)
         if trial is None:
             # no trial is as likely as the current beta: keep it, not converged
             break

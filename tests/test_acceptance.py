@@ -55,8 +55,8 @@ POPULATION_P4_CUTOFF_DISTANCE = 0.03
 # rates at ACCEPTANCE_SEED plus 0.01, rounded up to a hundredth
 # (A: 0.1029, 0.0232, 0.0418, 0.0090, 0.0100; C: 0.0137, 0.0407, 0.0429,
 # 0.0130, 0.0165).  Criterion 19 also asks each shortfall to shrink from
-# rate 0.01 to 0.05 to 0.10, as criteria 15 and 17 do for B.  D is left
-# out: its Gini sits at the ceiling.
+# rate 0.01 to 0.05 to 0.10, as criteria 15 and 17 do for B.  D, whose
+# Gini sits at the ceiling, has criterion 21.
 POPULATION_SHORTFALL_AC = {
     "A": {"gini": 0.12, "f1": 0.04, "p4": 0.06},
     "C": {"gini": 0.03, "f1": 0.06, "p4": 0.06},
@@ -65,6 +65,19 @@ POPULATION_CUTOFF_DISTANCE_AC = {
     "A": {"f1": 0.02, "p4": 0.02},
     "C": {"f1": 0.03, "p4": 0.03},
 }
+
+# config D (criterion 21): its median test Gini sits at the population Gini
+# within rounding, above it at 5% and 10%, so that gap is bounded both ways
+# (gaps 0.00030, -0.00017, -0.00006; bound: the worst plus 0.001, rounded up
+# to a thousandth).  The F1 and P4 shortfalls (0.0263, 0.0056, 0.0015 and
+# 0.0148, 0.0031, 0.0009) get the worst plus 0.01, rounded up to a
+# hundredth, and must shrink with the rate.  The median validation F1 and P4
+# cutoffs stray alike (0.100, 0.022, 0.029): at 1% (25 events) the F1 and P4
+# curves are flat far below the optimum, so their distance is bounded per
+# rate, each gap plus 0.01 rounded up to a hundredth.
+POPULATION_GINI_TOLERANCE_D = 0.002
+POPULATION_SHORTFALL_D = {"f1": 0.04, "p4": 0.03}
+POPULATION_CUTOFF_DISTANCE_D = {0.01: 0.11, 0.05: 0.04, 0.10: 0.04}
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -94,6 +107,15 @@ def run_b_fixed_events():
 def run_ac_2500():
     spec = ws.RunSpec(
         configs=(ws.CONFIG_A, ws.CONFIG_C), sizes=(2500,), rates=(0.01, 0.05, 0.10),
+        iterations=500, master_seed=ACCEPTANCE_SEED,
+    )
+    return ws.summarize(ws.run_grid(spec, workers=2))
+
+
+@pytest.fixture(scope="session")
+def run_d_2500():
+    spec = ws.RunSpec(
+        configs=(ws.CONFIG_D,), sizes=(2500,), rates=(0.01, 0.05, 0.10),
         iterations=500, master_seed=ACCEPTANCE_SEED,
     )
     return ws.summarize(ws.run_grid(spec, workers=2))
@@ -171,13 +193,12 @@ def population_b():
     )
 
 
-@pytest.fixture(scope="session")
-def population_ac():
-    """Configs A's and C's exact Gini, best grid F1 and P4, and the cutoffs
-    reaching those, per (config id, rate): a (limits, cutoffs) pair of dicts
-    keyed by metric."""
+def population_limits(configs):
+    """Each config's exact Gini, best grid F1 and P4, and the cutoffs reaching
+    those, per (config id, rate): a (limits, cutoffs) pair of dicts keyed by
+    metric."""
     population = {}
-    for config in (ws.CONFIG_A, ws.CONFIG_C):
+    for config in configs:
         for pi1 in (0.01, 0.05, 0.10):
             rate = ws.EventRate(pi1)
             (f1, f1_cutoff), (p4, p4_cutoff) = (
@@ -188,6 +209,16 @@ def population_ac():
                 {"f1": f1_cutoff, "p4": p4_cutoff},
             )
     return population
+
+
+@pytest.fixture(scope="session")
+def population_ac():
+    return population_limits((ws.CONFIG_A, ws.CONFIG_C))
+
+
+@pytest.fixture(scope="session")
+def population_d():
+    return population_limits((ws.CONFIG_D,))
 
 
 def median_of(summary, metric, split, rate=None, n=None, config_id=None):
@@ -378,7 +409,7 @@ def test_criterion_12_determinism(tmp_path):
 
 def test_criterion_13_scope_note():
     # the gate intentionally claims identities, oracles, and trend bands
-    # (criteria 1-12, 14-20) rather than exact reproduction of any
+    # (criteria 1-12, 14-21) rather than exact reproduction of any
     # external run, whose RNG and grid conventions are unknown
     verdict(13, "figure-level exactness not claimed; identities and trend bands carry the gate", True)
 
@@ -492,4 +523,39 @@ def test_criterion_20_cutoffs_near_population_optima(run_ac_2500, population_ac,
         f"config {config_id}: median validation F1 and P4 cutoffs within {bounds} of the "
         f"population-optimal cutoffs (gaps {[round(g, 4) for g in gaps.values()]})",
         all(gap <= bounds[metric] for (metric, _), gap in gaps.items()),
+    )
+
+
+def test_criterion_21_config_d_at_its_population_ceiling(run_d_2500, population_d):
+    rates = (0.01, 0.05, 0.10)
+    limits = {pi1: population_d["D", pi1][0] for pi1 in rates}
+    cutoffs = {pi1: population_d["D", pi1][1] for pi1 in rates}
+    gaps = {
+        metric: [float(limits[pi1][metric]) - median_of(run_d_2500, metric, "test", rate=pi1)
+                 for pi1 in rates]
+        for metric in ("gini", "f1", "p4")
+    }
+    distances = {
+        metric: [abs(median_of(run_d_2500, f"theta_{metric}", "val", rate=pi1) - cutoffs[pi1][metric])
+                 for pi1 in rates]
+        for metric in POPULATION_SHORTFALL_D
+    }
+    verdict(
+        21,
+        f"config D: median test Gini within {POPULATION_GINI_TOLERANCE_D} of population Gini "
+        f"{float(limits[0.01]['gini']):.5f} either way; median test F1 and P4 fall short of "
+        f"their population limits by 0..{POPULATION_SHORTFALL_D}, less at each higher rate; "
+        f"median validation cutoffs within {POPULATION_CUTOFF_DISTANCE_D} of the optima "
+        f"(gaps {({m: [round(g, 5) for g in v] for m, v in gaps.items()})}, "
+        f"distances {({m: [round(d, 4) for d in v] for m, v in distances.items()})})",
+        all(abs(g) <= POPULATION_GINI_TOLERANCE_D for g in gaps["gini"])
+        and all(
+            0.0 < g <= POPULATION_SHORTFALL_D[metric] for metric in POPULATION_SHORTFALL_D
+            for g in gaps[metric]
+        )
+        and all(gaps[metric][0] > gaps[metric][1] > gaps[metric][2] for metric in POPULATION_SHORTFALL_D)
+        and all(
+            d <= POPULATION_CUTOFF_DISTANCE_D[pi1] for metric in distances
+            for pi1, d in zip(rates, distances[metric])
+        ),
     )

@@ -115,6 +115,12 @@ class TestFitLogisticCurve:
         with pytest.raises(ws.InsufficientPoints):
             ws.fit_logistic_curve([(1.0, 0.1), (1.0, 0.2), (3.0, 0.3), (4.0, 0.4)])
 
+    @pytest.mark.parametrize("point", [(2.0, math.nan), (2.0, math.inf), (math.nan, 0.2)])
+    def test_non_finite_point_rejected(self, point):
+        # a NaN score used to run every start into CurveFitError
+        with pytest.raises(ws.InsufficientPoints, match="finite points"):
+            ws.fit_logistic_curve([(1.0, 0.1), point, (3.0, 0.3), (4.0, 0.4)])
+
 
 @st.composite
 def curve_points(draw):

@@ -12,7 +12,14 @@ generator; annotating a parameter with its type is allowed.
 
 Likewise only ``io.py`` opens a file for writing, so every output goes
 through its one helper and is replaced, not truncated in place.
+
+And every private module-level name of the package (a helper, class or
+constant whose name starts with one underscore) is referred to by some
+package module outside its own definition, so a helper does not outlive
+its last caller; references from the tests do not count.
 """
+
+from collections import Counter
 
 import ast
 from pathlib import Path
@@ -179,3 +186,79 @@ def test_the_check_sees_every_write_open():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "io.py"], ids=lambda p: p.name)
 def test_only_io_opens_a_file_for_writing(path):
     assert write_opens(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Each module-level def, class or assignment of ``tree`` with a name
+    that starts with a single underscore, as (name, node) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a loaded name, an
+    attribute, or a name imported from another module."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(a.name for a in sub.names)
+    return refs
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) of each private module-level name of ``sources`` (source
+    text by module name) that no module refers to outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return {
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if total[name] == _references(node)[name]
+    }
+
+
+def test_the_check_sees_a_private_name_without_a_reference():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_ORPHAN, public = 1, 2\n"
+            "__dunder__ = 0\n"
+            "def _recurse(n):\n"
+            "    return _recurse(n - 1) if n else _LIMIT\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _called_as_attribute():\n"
+            "    pass\n"
+            "class _Unused:\n"
+            "    def make(self):\n"
+            "        return _Unused()\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _imported\n"
+            "a._called_as_attribute()\n"
+        ),
+    }
+    assert unreferenced_private_names(sources) == {
+        ("a.py", "_ORPHAN"), ("a.py", "_recurse"), ("a.py", "_Unused"),
+    }
+
+
+def test_every_private_name_of_the_package_is_referred_to_in_the_package():
+    package = Path(woesim.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == set()

@@ -598,6 +598,22 @@ class TestCli:
             assert float(fields[5]) == pytest.approx(curves[rate].L, abs=1e-4)
             assert float(fields[9]) == pytest.approx(curves[rate].x0, abs=1e-3)
 
+    def test_guideline_refuses_a_nan_median_naming_its_row(self, tmp_path, capsys):
+        # used to exit 3 with "all curve-fit starts diverged"
+        rows, _ = synthetic_summary_rows()
+        rows[6] = rows[6]._replace(median=math.nan)
+        summary = tmp_path / "summary.csv"
+        io.save_summary_csv(rows, summary)
+        out = tmp_path / "g.csv"
+        assert cli.main([
+            "guideline", "--in", str(summary), "--n", "2500", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: summary row of config c1 (aiv 1.5) at n=2500, rate=0.05 has a "
+            "non-finite f1 median, which a curve cannot fit\n"
+        )
+        assert not out.exists()
+
     def test_guideline_without_matching_rows_exits_3(self, tmp_path):
         rows, _ = synthetic_summary_rows()
         summary = tmp_path / "summary.csv"

@@ -241,18 +241,17 @@ class TestFitLogistic:
         w = np.array([1.0, 4.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         event_w, nonevent_w = w * y, w * (1.0 - y)
         design = np.column_stack([np.ones(8), F])
-        terms = np.empty(8), np.empty(8)
         beta = np.array([math.log(5 / 7), -1.0, -1.0])
         p = _clamped_probs(design @ beta)
-        ll = _loglik(event_w, nonevent_w, p, *terms)
+        ll = _loglik(event_w, nonevent_w, p)
 
         def newton_step(p):
             hessian = (design * (w * p * (1.0 - p))[:, None]).T @ design
             return _newton_step(hessian, design.T @ (w * (y - p)))
 
-        beta, p, ll = _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll, terms)
+        beta, p, ll = _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll)
         assert ll == pytest.approx(-39.453656520748936, abs=1e-9)
-        assert _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll, terms) is None
+        assert _halve_step(design, event_w, nonevent_w, beta, newton_step(p), ll) is None
 
     def test_fit_keeps_its_beta_when_no_halving_is_as_likely(self, monkeypatch):
         # a step against the score lowers the loglik at every halving down to
@@ -347,7 +346,7 @@ class TestFitLogistic:
 
         def loglik(beta):
             p = _clamped_probs(design @ beta)
-            return _loglik(y, 1.0 - y, p, np.empty_like(p), np.empty_like(p))
+            return _loglik(y, 1.0 - y, p)
 
         h = 1e-6
         for _ in range(10):
@@ -373,6 +372,26 @@ class TestFitLogistic:
         F = gen.normal(size=(50, 1))
         y = (gen.random(50) < 0.4).astype(float)
         assert ws.fit_logistic(F, y).loglik <= 0.0
+
+    def test_inputs_are_left_as_they_were(self):
+        gen = np.random.default_rng(9)
+        F = gen.normal(size=(40, 2))
+        y = (gen.random(40) < 0.3).astype(float)
+        w = gen.integers(0, 4, size=40)
+        copies = F.copy(), y.copy(), w.copy()
+        model = ws.fit_logistic(F, y, w)
+        ws.predict_proba(model, F)
+        for given, copy in zip((F, y, w), copies):
+            assert given.tobytes() == copy.tobytes()
+
+
+def test_clamped_probs_leaves_its_argument_unchanged():
+    # the sigmoid used to overwrite the linear predictors with the probabilities
+    eta = np.array([-1000.0, -30.0, -1.5, 0.0, 2.0, 30.0, 1000.0])
+    copy = eta.copy()
+    p = _clamped_probs(eta)
+    assert eta.tobytes() == copy.tobytes()
+    assert p.tolist() == (1.0 / (1.0 + np.exp(-np.clip(copy, -30.0, 30.0)))).tolist()
 
 
 class TestPredictProba:

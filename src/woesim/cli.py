@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for invalid input or configuration, 3 for a
-runtime failure.
+Exit codes: 0 on success, 2 for refused input (a ``ValueError`` or an
+``OSError``), 3 for any other package error or running out of memory; see
+``woesim.errors``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,16 @@ from .configs import aggregate_iv, synthesize_config
 from .charts import emit_chart
 from .curve import fit_logistic_curve, guideline_table
 from .engine import DEFAULT_RATES, STUDY_SIZES, RunSpec, run_grid, summarize
-from .errors import (
-    DegeneratePlan,
-    EmptyCell,
-    InsufficientPoints,
-    SpecError,
-    WoesimError,
-)
+from .errors import EmptyCell, InsufficientPoints, SpecError, WoesimError
 from .rng import RngStream
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_RUNTIME = 3
 
-# ConfigError, SchemaError and SpecError are ValueErrors; OSError covers a
+# every package error that refuses input is a ValueError; OSError covers a
 # path that is missing, is a directory or cannot be written
-_INPUT_ERRORS = (
-    DegeneratePlan,
-    InsufficientPoints,
-    OSError,
-    ValueError,
-)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 #: What a refusal calls the items of a comma-separated option, by item type.
@@ -106,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render one summary cell as an SVG chart")
     p.add_argument("--in", dest="inp", required=True, help="summary CSV path")
-    p.add_argument("--cell", required=True, help="selector config:metric:split, e.g. B:f1:test")
+    p.add_argument("--cell", required=True,
+                   help="selector config:metric:split, e.g. B:f1:test; the config may hold ':'")
     p.add_argument("--out", required=True, help="SVG output path")
 
     return parser
@@ -165,12 +156,22 @@ def _cmd_guideline(args) -> int:
                 f"summary row of config {r.config_id} (aiv {r.aiv:g}) at n={r.n}, "
                 f"rate={r.event_rate:g} has a non-finite {r.metric} median, which a curve cannot fit"
             )
+    ids_at = {}
+    for r in rows:
+        ids_at.setdefault((r.event_rate, r.aiv), []).append(r.config_id)
+    for (rate, aiv), ids in ids_at.items():
+        if len(ids) > 1:
+            raise InsufficientPoints(
+                f"configs {', '.join(ids)} share aiv {aiv:g} at n={args.n}, rate={rate:g}, "
+                f"and a curve fit needs one point per aiv"
+            )
     fits = {}
     for rate in sorted({r.event_rate for r in rows}):
-        points = sorted(
-            {(r.aiv, r.median) for r in rows if r.event_rate == rate}
-        )
-        fit = fit_logistic_curve(points)
+        points = sorted((r.aiv, r.median) for r in rows if r.event_rate == rate)
+        try:
+            fit = fit_logistic_curve(points)
+        except InsufficientPoints as exc:
+            raise InsufficientPoints(f"rate={rate:g} at n={args.n}: {exc}") from None
         print(
             f"curve fit: rate {rate:g} L {fit.L:.6g} k {fit.k:.6g} x0 {fit.x0:.6g}"
             f" rss {fit.rss:.3g} points {len(points)}",
@@ -200,7 +201,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    parts = args.cell.split(":")
+    # metric and split hold no ':', so a config id may
+    parts = args.cell.rsplit(":", 2)
     if len(parts) != 3:
         raise SpecError(f"--cell must look like CONFIG:METRIC:SPLIT, got {args.cell!r}")
     config_id, metric, split = parts

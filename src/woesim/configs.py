@@ -217,17 +217,8 @@ def _mixture_event(p0: np.ndarray, p1: np.ndarray, lam: float) -> np.ndarray:
     return (1.0 - lam) * p0 + lam * p1
 
 
-def _draw_baseline(gen: np.random.Generator, bins: int) -> np.ndarray:
-    return _floored(gen.dirichlet(np.full(bins, 2.0)), SYNTH_PROB_FLOOR)
-
-
-def _draw_contrast(
-    gen: np.random.Generator, bins: int, attempt: int
-) -> np.ndarray:
-    # attempt 0 is a moderate Dirichlet draw; later redraws concentrate the
-    # mass harder so the lambda=1 endpoint can clear large per-predictor
-    # targets
-    alpha = 1.0 / (1.0 + 0.25 * attempt)
+def _draw_dirichlet(gen: np.random.Generator, bins: int, alpha: float) -> np.ndarray:
+    """A symmetric Dirichlet(``alpha``) draw over ``bins`` bins, floored."""
     return _floored(gen.dirichlet(np.full(bins, alpha)), SYNTH_PROB_FLOOR)
 
 
@@ -273,10 +264,13 @@ def synthesize_config(
     per_tol = tol / (2.0 * d)
     predictors = []
     for i, n_bins in enumerate(bins):
-        p0 = _draw_baseline(gen, n_bins)
+        p0 = _draw_dirichlet(gen, n_bins, 2.0)
         p1 = None
         for attempt in range(_SYNTH_MAX_REDRAWS):
-            candidate = _draw_contrast(gen, n_bins, attempt)
+            # attempt 0 is a moderate Dirichlet draw; later redraws concentrate
+            # the mass harder so the lambda=1 endpoint can clear large
+            # per-predictor targets
+            candidate = _draw_dirichlet(gen, n_bins, 1.0 / (1.0 + 0.25 * attempt))
             if iv_between(candidate, p0) >= per_target:
                 p1 = candidate
                 break

@@ -58,7 +58,8 @@ def _project(theta: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(theta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-theta[:, 1:2] * (a - theta[:, 2:3])))
+    # k * (x0 - a) equals -k * (a - x0) to the bit, without the negation
+    return 1.0 / (1.0 + np.exp(theta[:, 1:2] * (theta[:, 2:3] - a)))
 
 
 def _sum_squares(r: np.ndarray) -> np.ndarray:
@@ -92,15 +93,15 @@ def _damped_gauss_newton(
     parameters and (S,) RSS values.
     """
     theta = _project(np.asarray(starts, dtype=float))
-    s = _sigmoid(theta, a)
-    r = y - theta[:, 0:1] * s
-    rss = _sum_squares(r)
+    rss = _sum_squares(y - theta[:, 0:1] * _sigmoid(theta, a))
     damping = np.full(len(theta), 1e-3)
     eye = np.eye(3)
     # every try runs on the whole stack; only the masked rows take its result,
     # so a stopped or already accepted start's state is never written again
     running = np.ones(len(theta), dtype=bool)
     for _ in range(_MAX_ITER):
+        s = _sigmoid(theta, a)
+        r = y - theta[:, 0:1] * s
         J = _jacobian(theta, s, a)
         JT = J.transpose(0, 2, 1)
         g = (JT @ r[:, :, None])[:, :, 0]
@@ -109,14 +110,10 @@ def _damped_gauss_newton(
         keep = np.zeros(len(theta), dtype=bool)
         for _ in range(40):
             cand = _project(theta + _newton_step(A + damping[:, None, None] * eye, g))
-            cand_s = _sigmoid(cand, a)
-            cand_r = y - cand[:, 0:1] * cand_s
-            new_rss = _sum_squares(cand_r)
+            new_rss = _sum_squares(y - cand[:, 0:1] * _sigmoid(cand, a))
             won = pending & np.isfinite(new_rss) & (new_rss <= rss)
             improvement = rss - new_rss
             np.copyto(theta, cand, where=won[:, None])
-            np.copyto(s, cand_s, where=won[:, None])
-            np.copyto(r, cand_r, where=won[:, None])
             np.copyto(rss, new_rss, where=won)
             np.copyto(damping, np.maximum(damping / 3.0, 1e-12), where=won)
             np.copyto(keep, improvement > _REL_TOL * np.maximum(rss, 1e-300), where=won)

@@ -1,5 +1,11 @@
 """Semantic exceptions shared across the package, and the integer check
-that raises them naming the field it refuses."""
+that raises them naming the field it refuses.
+
+The class of an error decides the CLI's exit code. Every error that
+refuses input derives from ``ValueError``; that, or an ``OSError`` on a
+path, exits 2. Any other ``WoesimError``, or running out of memory,
+exits 3.
+"""
 
 from operator import index
 
@@ -29,7 +35,7 @@ class TargetUnreachable(WoesimError):
     """Config synthesis could not reach the requested strength target."""
 
 
-class DegeneratePlan(WoesimError):
+class DegeneratePlan(WoesimError, ValueError):
     """A sampling plan without room for both classes (n1 < 1, n1 >= n or n < 2)."""
 
 
@@ -37,7 +43,7 @@ class DegenerateDesign(WoesimError):
     """A split's responses hold a single class, so the estimator is undefined."""
 
 
-class InsufficientPoints(WoesimError):
+class InsufficientPoints(WoesimError, ValueError):
     """Too few, non-distinct or non-finite points for a curve fit."""
 
 

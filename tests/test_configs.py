@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import woesim as ws
-from woesim.configs import SYNTH_PROB_FLOOR, _draw_baseline, _draw_contrast, _mixture_event
+from woesim.configs import SYNTH_PROB_FLOOR, _draw_dirichlet, _mixture_event
 
 
 def make_predictor(p_event, p_nonevent, name="X1"):
@@ -225,8 +225,8 @@ class TestSynthesizeConfig:
         gen = np.random.default_rng(3)
         for _ in range(100):
             bins = int(gen.integers(2, 7))
-            p0 = _draw_baseline(gen, bins)
-            p1 = _draw_contrast(gen, bins, int(gen.integers(0, 10)))
+            p0 = _draw_dirichlet(gen, bins, 2.0)
+            p1 = _draw_dirichlet(gen, bins, 1.0 / (1.0 + 0.25 * int(gen.integers(0, 10))))
             ivs = [
                 ws.iv_between(_mixture_event(p0, p1, lam), p0)
                 for lam in np.linspace(0.0, 1.0, 11)

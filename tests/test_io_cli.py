@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import woesim as ws
-from woesim import cli, io
+from woesim import cli, errors, io
 from woesim.charts import _nice_ticks, _tick_labels
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
@@ -623,6 +623,38 @@ class TestCli:
             "guideline", "--in", str(summary), "--n", "999", "--out", str(out),
         ]) == 3
 
+    @pytest.mark.parametrize("keep, bump", [(3, 0.0), (5, 0.01)], ids=["same-median", "other-median"])
+    def test_guideline_refuses_configs_sharing_an_aiv_naming_them(self, tmp_path, capsys, keep, bump):
+        # used to merge equal (aiv, median) pairs into one point and exit 2
+        # with "needs at least 4 points, got 3", or with "needs distinct
+        # strength values" when the medians differ, naming no config or rate
+        rows, _ = synthetic_summary_rows()
+        rows = [r for r in rows if int(r.config_id[1:]) < keep]
+        twin = next(r for r in rows if r.config_id == "c1" and r.event_rate == 0.05)
+        rows.append(twin._replace(config_id="c1b", median=twin.median + bump))
+        summary, out = tmp_path / "summary.csv", tmp_path / "g.csv"
+        io.save_summary_csv(rows, summary)
+        assert cli.main([
+            "guideline", "--in", str(summary), "--n", "2500", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: configs c1, c1b share aiv 1.5 at n=2500, rate=0.05, "
+            "and a curve fit needs one point per aiv\n"
+        )
+        assert not out.exists()
+
+    def test_guideline_names_the_rate_with_too_few_rows(self, tmp_path, capsys):
+        rows, _ = synthetic_summary_rows()
+        rows = [r for r in rows if r.event_rate == 0.01 or r.config_id in ("c0", "c1", "c2")]
+        summary, out = tmp_path / "summary.csv", tmp_path / "g.csv"
+        io.save_summary_csv(rows, summary)
+        assert cli.main([
+            "guideline", "--in", str(summary), "--n", "2500", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: rate=0.05 at n=2500: curve fit needs at least 4 points, got 3"
+        assert not out.exists()
+
     def test_synth_then_validate(self, tmp_path, capsys):
         out = tmp_path / "synth.json"
         assert cli.main([
@@ -778,3 +810,67 @@ class TestCli:
         assert cli.main(argv) == 2
         with pytest.raises(ws.SpecError, match="--cell must look like"):
             cli._COMMANDS["report"](cli._build_parser().parse_args(argv))
+
+    def test_report_charts_a_config_id_holding_colons(self, tmp_path, capsys):
+        # synth, run and summarize carried the id, and report refused its selector
+        paths = {name: str(tmp_path / name) for name in ("c.json", "r.csv", "s.csv", "c.svg")}
+        for argv in (
+            ["synth", "--d", "2", "--bins", "4,4", "--aiv", "1", "--seed", "3",
+             "--id", "bank:retail", "--out", paths["c.json"]],
+            ["run", "--config", paths["c.json"], "--sizes", "60", "--rates", "0.1",
+             "--iters", "2", "--out", paths["r.csv"]],
+            ["summarize", "--in", paths["r.csv"], "--out", paths["s.csv"]],
+            ["report", "--in", paths["s.csv"], "--cell", "bank:retail:f1:test", "--out", paths["c.svg"]],
+        ):
+            assert cli.main(argv) == 0, capsys.readouterr().err
+        assert "bank:retail" in Path(paths["c.svg"]).read_text()
+        argv = ["report", "--in", paths["s.csv"], "--cell", "bank:f1", "--out", paths["c.svg"]]
+        with pytest.raises(ws.SpecError, match="--cell must look like"):
+            cli._COMMANDS["report"](cli._build_parser().parse_args(argv))
+
+
+def _package_errors(cls=errors.WoesimError):
+    """``cls`` and every class below it that ``woesim.errors`` defines."""
+    found = [cls]
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            found += _package_errors(sub)
+    return found
+
+
+#: The errors that refuse input and exit 2; every other one exits 3. A new
+#: error class joins this set, or stays out of it, by a deliberate edit here.
+REFUSALS = {
+    errors.ConfigError, errors.DegeneratePlan, errors.InsufficientPoints, errors.SchemaError,
+    errors.SpecError, OSError, ValueError,
+}
+ERRORS = [*_package_errors(), OSError, ValueError, MemoryError]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: e.__name__)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error):
+    def command(args):
+        raise error("refused")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", command)
+    assert cli.main(["validate", "config.json"]) == (2 if error in REFUSALS else 3)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("refused\n")
+    assert "Traceback" not in err
+
+
+def test_the_class_alone_marks_a_refusal():
+    assert cli._INPUT_ERRORS == (OSError, ValueError)
+    assert {e for e in ERRORS if issubclass(e, cli._INPUT_ERRORS)} == REFUSALS
+
+
+@pytest.mark.parametrize(
+    "argv", [[], *([name] for name in cli._COMMANDS)], ids=lambda a: " ".join(a) or "woesim"
+)
+def test_help_renders(capsys, argv):
+    # argparse formats a help string only when it renders it, so a bad one
+    # (a bare '%', say) would fail here and nowhere else
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: woesim")

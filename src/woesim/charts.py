@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .engine import SummaryRecord
-from .errors import EmptyCell
+from .errors import EmptyCell, SpecError
 
 _WIDTH, _HEIGHT = 760, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 150, 36, 52
@@ -84,7 +84,7 @@ def emit_chart(
     """Render the selected summary cell as a standalone SVG document.
 
     A row whose q25, median or q75 is NaN or infinite is refused with
-    ``ValueError`` naming its n and rate, and so are values spanning more
+    ``SpecError`` naming its n and rate, and so are values spanning more
     than a float can hold.
     """
     cell = [
@@ -97,7 +97,7 @@ def emit_chart(
         )
     for r in cell:
         if not all(map(math.isfinite, (r.q25, r.median, r.q75))):
-            raise ValueError(
+            raise SpecError(
                 f"summary row at n={r.n}, rate={r.event_rate:g} has a non-finite "
                 "q25, median or q75, which a chart cannot place"
             )
@@ -114,7 +114,7 @@ def emit_chart(
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi - y_lo):
-        raise ValueError(
+        raise SpecError(
             f"summary values from {min(y_values):g} to {max(y_values):g} span too wide a range to chart"
         )
 

@@ -19,6 +19,7 @@ from .curve import fit_logistic_curve, guideline_table
 from .engine import DEFAULT_RATES, STUDY_SIZES, RunSpec, run_grid, summarize
 from .errors import EmptyCell, InsufficientPoints, SpecError, WoesimError
 from .rng import RngStream
+from .scorecard import DEFAULT_THETA_ADJ
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sample sizes, or 'paper' for the default grid")
     p.add_argument("--iters", type=int, default=500, help="Monte Carlo iterations per cell")
     p.add_argument("--seed", type=int, default=0, help="master seed, 0 <= seed < 2**64")
-    p.add_argument("--theta-adj", type=float, default=0.5,
+    p.add_argument("--theta-adj", type=float, default=DEFAULT_THETA_ADJ,
                    help="WoE adjustment factor, finite and nonnegative")
     p.add_argument("--fixed-events", type=int, default=None,
                    help="fix the event count per sample, ignoring --rates")

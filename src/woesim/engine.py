@@ -25,7 +25,9 @@ from .metrics import _rank
 from .metrics import confusion, default_cutoff_grid, gini, optimize_cutoff  # noqa: F401
 from .rng import RngStream, check_master_seed
 from .sampling import SamplingPlan, generate_cells, generate_sample, make_plan
-from .scorecard import check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform
+from .scorecard import (
+    DEFAULT_THETA_ADJ, check_theta_adj, estimate_woe, fit_logistic, predict_proba, transform,
+)
 
 #: Sample sizes the default grid sweeps.
 STUDY_SIZES = (50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 750, 1000, 1500, 2000, 2500)
@@ -55,7 +57,7 @@ class RunSpec:
     rates: tuple[float, ...] = DEFAULT_RATES
     iterations: int = 500
     master_seed: int = 0
-    theta_adj: float = 0.5
+    theta_adj: float = DEFAULT_THETA_ADJ
     fixed_events: int | None = None
 
     def __post_init__(self) -> None:
@@ -149,7 +151,7 @@ def run_iteration(
     master_seed: int,
     iteration: int,
     *,
-    theta_adj: float = 0.5,
+    theta_adj: float = DEFAULT_THETA_ADJ,
 ) -> IterationRecord:
     """One full train/validate/test pass at a fixed sampling plan.
 

@@ -61,6 +61,9 @@ def load_config(path) -> ConfigSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or arrays nested past the recursion limit
+        raise SchemaError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
     _require_keys(path, "top level", raw, _CONFIG_KEYS)
@@ -201,24 +204,30 @@ def _save_records(cls, records: Iterable, path) -> None:
 
 
 def _load_records(cls, path) -> list:
+    """The records of type ``cls`` in the CSV file ``path``.  A file that
+    is not UTF-8 or holds a field over ``csv.field_size_limit()`` is
+    refused with ``SchemaError`` naming it, as a malformed row is."""
     header, codecs = _COLUMNS[cls]
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        row = next(reader, [])
-        if row != header:
-            raise SchemaError(f"{path}: bad header {row!r}, expected {header!r}")
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            for row in rows:
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path}: row has {len(row)} fields, expected {len(header)}"
-                    )
-            columns = [map(parse, column) for (_, parse), column in zip(codecs, zip(*rows))]
-            try:
-                records.extend(map(cls._make, zip(*columns)))
-            except ValueError as exc:
-                raise _bad_cell(path, header, codecs, exc) from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            row = next(reader, [])
+            if row != header:
+                raise SchemaError(f"{path}: bad header {row!r}, expected {header!r}")
+            while rows := list(islice(reader, _CHUNK_ROWS)):
+                for row in rows:
+                    if len(row) != len(header):
+                        raise SchemaError(
+                            f"{path}: row has {len(row)} fields, expected {len(header)}"
+                        )
+                columns = [map(parse, column) for (_, parse), column in zip(codecs, zip(*rows))]
+                try:
+                    records.extend(map(cls._make, zip(*columns)))
+                except ValueError as exc:
+                    raise _bad_cell(path, header, codecs, exc) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return records
 
 

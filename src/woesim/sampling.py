@@ -151,16 +151,13 @@ class GuideTable:
     ``bin_cdf`` of the given predictors (Chen & Asau 1974; Devroye 1986,
     sec. III.2.4), and the coding of their joint cells.
 
-    Row j holds predictor j's event cdf and row d + j its nonevent cdf.
+    Row j of ``cdfs`` holds predictor j's event cdf and row d + j its
+    nonevent cdf, padded with 1.0, which no variate in [0, 1) reaches.
     Each row splits [0, 1) into M = 2**12 equal buckets, and ``bins``
     holds the 1-based bin of each bucket that no interior cdf edge cuts,
     0 for a cut one.  A variate u lies in bucket floor(u * M), exact
-    because M is a power of two.  The few variates in cut buckets are
-    resolved by one search of ``edges``, every interior edge e of row r as
-    the complex number r + 1j * e: numpy orders complex numbers by real
-    part first, so a variate's insertion point counts the edges of the
-    rows before its own plus the edges of its row at or below it.
-    ``row_base`` holds each row's first index in ``edges``, minus one.
+    because M is a power of two.  A variate in a cut bucket gets its bin
+    by counting: a bin is one plus the cdf entries at or below u.
 
     A row of bins x lies in the C-order joint cell ``radix @ x - offset``
     of the bin space ``bin_counts``, whose 1-based bins ``cells`` lists.
@@ -172,23 +169,20 @@ class GuideTable:
         ]
         lower = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
         upper = np.arange(1, _GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+        width = max(cdf.size for cdf in cdfs)
         # uint8 up to 255 bins: the table stays a few kilobytes per predictor
-        dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs))
-        bins, edges = [], []
+        dtype = np.min_scalar_type(width)
+        self.cdfs = np.ones((len(cdfs), width))
+        bins = []
         for row, cdf in enumerate(cdfs):
+            self.cdfs[row, :cdf.size] = cdf
             below = cdf.searchsorted(lower, side="right")
             cut = below != cdf.searchsorted(upper, side="left")
             bins.append(np.where(cut, 0, below + 1).astype(dtype))
-            key = np.empty(cdf.size - 1, dtype=complex)
-            key.real = row
-            key.imag = cdf[:-1]
-            edges.append(key)
         # each row's first bucket in ``bins``, as a column per predictor
         rows = np.arange(len(cdfs))[:, None] * _GUIDE_BUCKETS
         bin_counts = tuple(len(p.p_event) for p in predictors)
         self.bins = np.concatenate(bins)
-        self.edges = np.concatenate(edges)
-        self.row_base = np.cumsum([0] + [key.size for key in edges[:-1]]) - 1
         self.event_rows, self.nonevent_rows = np.split(rows, 2)
         self.radix = np.cumprod((1,) + bin_counts[:0:-1])[::-1]
         for table in vars(self).values():
@@ -218,11 +212,8 @@ class GuideTable:
         bins = self.bins.take(at)
         cut = np.flatnonzero(bins.reshape(-1) == 0)
         if cut.size:
-            rows = at.reshape(-1)[cut] >> _GUIDE_SHIFT
-            key = np.empty(cut.size, dtype=complex)
-            key.real = rows
-            key.imag = u.reshape(-1)[cut]
-            bins.reshape(-1)[cut] = self.edges.searchsorted(key, side="right") - self.row_base[rows]
+            cdfs = self.cdfs.take(at.reshape(-1)[cut] >> _GUIDE_SHIFT, axis=0)
+            bins.reshape(-1)[cut] = (cdfs <= u.reshape(-1)[cut, None]).sum(axis=1) + 1
         return bins
 
 
@@ -285,10 +276,8 @@ def generate_cells(config: ConfigSpec, plan: SamplingPlan, rng: RngStream) -> Sa
     code = table.radix @ table.lookup(u, n1) - table.offset
     # slot c holds joint cell c's event count and slot K + c its nonevent
     # count; one row per positive slot, in slot order
-    counts = np.concatenate([
-        np.bincount(code[:n1], minlength=n_cells),
-        np.bincount(code[n1:], minlength=n_cells),
-    ])
+    code[n1:] += n_cells
+    counts = np.bincount(code, minlength=2 * n_cells)
     slots = np.flatnonzero(counts)
     X = table.cells.take(slots % n_cells, axis=0)
     # a valid sample's observed cells, their classes and positive counts

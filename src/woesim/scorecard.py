@@ -78,6 +78,11 @@ def adjusted_woe(n0jk, n1jk, n0: int, n1: int, theta_adj: float):
     return np.log((n0jk + theta_adj) / n0) - np.log((n1jk + theta_adj) / n1)
 
 
+#: The WoE adjustment added to every bin count unless another is given,
+#: the common software default.
+DEFAULT_THETA_ADJ = 0.5
+
+
 def check_theta_adj(theta_adj: float) -> None:
     """Refuse a WoE adjustment that is not finite and nonnegative."""
     # written so that a NaN, which compares false both ways, fails the test
@@ -85,12 +90,12 @@ def check_theta_adj(theta_adj: float) -> None:
         raise SpecError(f"theta_adj must be finite and nonnegative, got {theta_adj}")
 
 
-def estimate_woe(sample: Sample, theta_adj: float = 0.5) -> WoeTable:
+def estimate_woe(sample: Sample, theta_adj: float = DEFAULT_THETA_ADJ) -> WoeTable:
     """Estimate per-bin weights of evidence from a training sample.
 
-    The adjustment ``theta_adj`` (default 0.5, the common software default)
-    is added to every bin count before normalizing, keeping estimates
-    finite for bins one class never visited.  The table covers every bin of
+    The adjustment ``theta_adj`` (default ``DEFAULT_THETA_ADJ``, 0.5) is
+    added to every bin count before normalizing, keeping estimates finite
+    for bins one class never visited.  The table covers every bin of
     the sample's ``bin_counts``, including those absent from the sample.
 
     Rows count with their frequency weights, so a sample drawn into

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -209,6 +210,30 @@ def test_readme_file_formats_match_written_headers(tmp_path):
     assert documented == written
 
 
+def readme_command_lines():
+    """Every ``woesim`` command line in README's ``sh`` blocks, as the
+    arguments after ``woesim``, continuations joined and comments dropped."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["woesim"]:
+                lines.append(words[1:])
+    return lines
+
+
+def test_readme_command_lines_parse(capsys):
+    # a renamed or dropped flag the README still shows fails here
+    lines = readme_command_lines()
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    parser = cli._build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `woesim {shlex.join(argv)}` does not parse: {capsys.readouterr().err}")
+
+
 #: Each kind of output file the package writes, written to a path.
 WRITERS = {
     "config": lambda path: io.save_config(ws.CONFIG_B, path),
@@ -286,6 +311,15 @@ class TestCharts:
         with pytest.raises(ValueError, match="n=100, rate=0.05"):
             ws.emit_chart(summary, "B", "f1", "test")
 
+    @pytest.mark.parametrize(("bad", "message"), [
+        (dict(median=math.nan), "n=2500, rate=0.01"),
+        (dict(q25=-1e308, q75=1e308), "too wide a range"),
+    ], ids=["nan", "too-wide"])
+    def test_a_cell_no_chart_can_show_is_a_spec_error(self, bad, message):
+        rows = [r._replace(**bad) for r in synthetic_summary_rows()[0]]
+        with pytest.raises(ws.SpecError, match=message):
+            ws.emit_chart(rows, "c0", "f1", "test")
+
     @pytest.mark.parametrize(
         ("lo", "hi"),
         [(0.0, 0.7), (0.5, float(np.nextafter(0.5, 1.0))), (0.0, 1e-320), (0.1, 0.1 + 3e-11)],
@@ -317,6 +351,12 @@ class TestCharts:
         svg = ws.emit_chart(rows, "A&<B>", "f1", "test")
         title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
         assert title.text == "config A&<B>: f1 (test split)"
+
+
+def over_field_limit(cls) -> bytes:
+    """A CSV file of ``cls`` records whose one row is a field longer than
+    ``csv.field_size_limit()``."""
+    return f"{','.join(cls._fields)}\r\n{'x' * (csv.field_size_limit() + 1)}\r\n".encode()
 
 
 def synthetic_summary_rows():
@@ -718,6 +758,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(("argv", "content"), [
+        (["validate", "{path}"], b"\xff{}"),
+        (["validate", "{path}"], b"[" * 100_000 + b"]" * 100_000),
+        (["summarize", "--in", "{path}", "--out", "{dir}/s.csv"], b"\xff"),
+        (["summarize", "--in", "{path}", "--out", "{dir}/s.csv"], over_field_limit(ws.IterationRecord)),
+        (["guideline", "--in", "{path}", "--n", "2500", "--out", "{dir}/g.csv"], b"\xff"),
+        (["guideline", "--in", "{path}", "--n", "2500", "--out", "{dir}/g.csv"],
+         over_field_limit(ws.SummaryRecord)),
+        (["report", "--in", "{path}", "--cell", "B:f1:test", "--out", "{dir}/c.svg"],
+         over_field_limit(ws.SummaryRecord)),
+    ], ids=["validate-not-utf8", "validate-deep-json", "summarize-not-utf8", "summarize-long-field",
+            "guideline-not-utf8", "guideline-long-field", "report-long-field"])
+    def test_an_unreadable_input_file_exits_2_naming_it(self, tmp_path, capsys, argv, content):
+        # bytes that are not UTF-8 were refused without naming the file; a
+        # field over the csv module's limit and JSON nested past the
+        # recursion limit ended in a traceback and exit 1
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert cli.main([a.format(path=path, dir=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("out", ["", "no/r.csv"], ids=["run-dir", "run-missing-dir"])
     def test_unusable_run_out_is_a_spec_error(self, tmp_path, monkeypatch, out):

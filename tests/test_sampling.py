@@ -143,6 +143,22 @@ class TestGuideTable:
         # a process pool's copy of the config finds the same table again
         assert sampling.guide_table(pickle.loads(before).predictors) is table
 
+    def test_two_edges_in_one_bucket_resolve_like_searchsorted(self):
+        # both interior edges, 0.3 and 0.30002, cut bucket 1228 of 4096
+        p = (0.3, 2e-5, 0.7 - 2e-5)
+        cdf = sampling.bin_cdf(p)
+        edges = cdf[:2]
+        assert (edges * 4096).astype(int).tolist() == [1228, 1228]
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0), [1228 / 4096, np.nextafter(1.0, 0.0)]
+        ])
+        expected = np.searchsorted(cdf, u, side="right") + 1
+        assert expected.tolist() == [2, 3, 1, 2, 1, 3]
+        table = sampling.guide_table(one_predictor(p).predictors)
+        # the same variates through the event row, then the nonevent row
+        bins = table.lookup(np.concatenate([u, u])[None, :], u.size)[0]
+        assert bins.tolist() == expected.tolist() * 2
+
 
 class TestDrawCategorical:
     """Draw frequencies of ``generate_sample`` over a million event rows."""

@@ -1,5 +1,6 @@
 """WoE estimation, the WoE transform, and the logistic MLE."""
 
+import inspect
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import woesim as ws
-from woesim import scorecard
+from woesim import cli, scorecard
 from woesim.scorecard import _clamped_probs, _halve_step, _loglik, _newton_step
 
 
@@ -108,6 +109,15 @@ class TestEstimateWoe:
         sample = build_sample([1, 2, 1, 2], [1, 0, 0, 1], (2,))
         with pytest.raises(ValueError, match="theta_adj must be finite and nonnegative"):
             ws.estimate_woe(sample, theta_adj)
+
+    def test_every_default_adjustment_is_the_one_constant(self):
+        default = scorecard.DEFAULT_THETA_ADJ
+        assert default == 0.5
+        args = cli._build_parser().parse_args(["run", "--config", "B", "--out", "r.csv"])
+        assert args.theta_adj is default
+        assert ws.RunSpec(configs=(ws.CONFIG_B,)).theta_adj is default
+        for function in (ws.run_iteration, ws.estimate_woe):
+            assert inspect.signature(function).parameters["theta_adj"].default is default
 
     def test_bad_weights_rejected(self):
         # one weight rule for every weighted entry point, WoE estimate included

@@ -60,6 +60,19 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _tag(name: str, body: object = None, **attrs: object) -> str:
+    """One SVG element with ``attrs`` in the order given: ``font_size`` is
+    written ``font-size`` and ``class_`` is written ``class``.
+
+    A ``body`` is written as escaped character data; an element without
+    one closes itself.
+    """
+    head = "".join(f' {key.rstrip("_").replace("_", "-")}="{value}"' for key, value in attrs.items())
+    if body is None:
+        return f"<{name}{head}/>"
+    return f"<{name}{head}>{_escape(str(body))}</{name}>"
+
+
 def _tick_labels(ticks: list[float]) -> list[str]:
     """Labels for distinct ticks at the fewest significant digits, 6 or
     more, that tell them all apart; 17 digits tell any two doubles apart.
@@ -124,67 +137,47 @@ def emit_chart(
     def py(v: float) -> float:
         return _scale(v, y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
+    def points(rows: Sequence[SummaryRecord], value: str) -> str:
+        return " ".join(f"{px(r.n):.1f},{py(getattr(r, value)):.1f}" for r in rows)
+
+    def text(body: object, x: object, y: object, size: int, **attrs: object) -> str:
+        return _tag("text", body, x=x, y=y, font_family="sans-serif", font_size=size, **attrs)
+
+    axis_y = _HEIGHT - _MARGIN_B
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_MARGIN_L}" y="20" font-family="sans-serif" font-size="14">'
-        f"config {_escape(config_id)}: {_escape(metric)} ({_escape(split)} split)</text>",
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        text(f"config {config_id}: {metric} ({split} split)", _MARGIN_L, 20, 14),
+        _tag("line", x1=_MARGIN_L, y1=axis_y, x2=_WIDTH - _MARGIN_R, y2=axis_y, stroke="black", stroke_width=1),
+        _tag("line", x1=_MARGIN_L, y1=_MARGIN_T, x2=_MARGIN_L, y2=axis_y, stroke="black", stroke_width=1),
     ]
-
-    axis_y = _HEIGHT - _MARGIN_B
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{axis_y}" x2="{_WIDTH - _MARGIN_R}" y2="{axis_y}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{axis_y}" '
-        'stroke="black" stroke-width="1"/>'
-    )
     for n in xs:
-        x = px(n)
-        parts.append(f'<line x1="{x:.1f}" y1="{axis_y}" x2="{x:.1f}" y2="{axis_y + 4}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.1f}" y="{axis_y + 18}" font-family="sans-serif" font-size="10" '
-            f'text-anchor="middle">{n}</text>'
-        )
+        x = f"{px(n):.1f}"
+        parts.append(_tag("line", x1=x, y1=axis_y, x2=x, y2=axis_y + 4, stroke="black"))
+        parts.append(text(n, x, axis_y + 18, 10, text_anchor="middle"))
     ticks = _nice_ticks(y_lo, y_hi)
     for tick, label in zip(ticks, _tick_labels(ticks)):
         y = py(tick)
-        parts.append(f'<line x1="{_MARGIN_L - 4}" y1="{y:.1f}" x2="{_MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{y + 3:.1f}" font-family="sans-serif" font-size="10" '
-            f'text-anchor="end">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}" y="{_HEIGHT - 12}" '
-        'font-family="sans-serif" font-size="12" text-anchor="middle">sample size</text>'
-    )
+        parts.append(_tag("line", x1=_MARGIN_L - 4, y1=f"{y:.1f}", x2=_MARGIN_L, y2=f"{y:.1f}", stroke="black"))
+        parts.append(text(label, _MARGIN_L - 8, f"{y + 3:.1f}", 10, text_anchor="end"))
+    x_mid = f"{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2:.0f}"
+    parts.append(text("sample size", x_mid, _HEIGHT - 12, 12, text_anchor="middle"))
 
     for i, rate in enumerate(sorted(by_rate)):
         rows = by_rate[rate]
         color = _PALETTE[i % len(_PALETTE)]
-        upper = " ".join(f"{px(r.n):.1f},{py(r.q75):.1f}" for r in rows)
-        lower = " ".join(f"{px(r.n):.1f},{py(r.q25):.1f}" for r in reversed(rows))
-        parts.append(
-            f'<polygon class="band" points="{upper} {lower}" fill="{color}" '
-            'fill-opacity="0.15" stroke="none"/>'
-        )
-        median_pts = " ".join(f"{px(r.n):.1f},{py(r.median):.1f}" for r in rows)
-        parts.append(
-            f'<polyline class="median" points="{median_pts}" fill="none" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        legend_y = _MARGIN_T + 18 * i + 10
-        legend_x = _WIDTH - _MARGIN_R + 16
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 24}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 30}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="11">rate {rate:g}</text>'
-        )
+        band = f"{points(rows, 'q75')} {points(rows[::-1], 'q25')}"
+        legend_x, legend_y = _WIDTH - _MARGIN_R + 16, _MARGIN_T + 18 * i + 10
+        parts += [
+            _tag("polygon", class_="band", points=band, fill=color, fill_opacity=0.15, stroke="none"),
+            _tag(
+                "polyline", class_="median", points=points(rows, "median"),
+                fill="none", stroke=color, stroke_width=2,
+            ),
+            _tag("line", x1=legend_x, y1=legend_y, x2=legend_x + 24, y2=legend_y, stroke=color, stroke_width=2),
+            text(f"rate {rate:g}", legend_x + 30, legend_y + 4, 11),
+        ]
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -53,13 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="woesim",
         description="Scorecard class-imbalance simulation lab",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a config JSON file")
+    p = sub.add_parser("validate", help="validate a config JSON file", allow_abbrev=False)
     p.add_argument("config", help="path to a config JSON file")
 
-    p = sub.add_parser("run", help="run the Monte Carlo grid")
+    p = sub.add_parser("run", help="run the Monte Carlo grid", allow_abbrev=False)
     p.add_argument("--config", action="append", required=True,
                    help="built-in id (A..D) or config JSON path; repeatable")
     p.add_argument("--rates", default=",".join(map(str, DEFAULT_RATES)),
@@ -75,17 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="results CSV path")
 
-    p = sub.add_parser("summarize", help="aggregate results into quantile summaries")
+    p = sub.add_parser("summarize", help="aggregate results into quantile summaries", allow_abbrev=False)
     p.add_argument("--in", dest="inp", required=True, help="results CSV path")
     p.add_argument("--out", required=True, help="summary CSV path")
 
-    p = sub.add_parser("guideline", help="fit curves and tabulate attainable scores")
+    p = sub.add_parser("guideline", help="fit curves and tabulate attainable scores", allow_abbrev=False)
     p.add_argument("--in", dest="inp", required=True, help="summary CSV path")
     p.add_argument("--n", type=int, default=2500, help="sample size to read medians at")
     p.add_argument("--metric", default="f1", choices=("f1", "p4"), help="metric to tabulate")
     p.add_argument("--out", required=True, help="guideline CSV path")
 
-    p = sub.add_parser("synth", help="synthesize a config hitting a target AIV")
+    p = sub.add_parser("synth", help="synthesize a config hitting a target AIV", allow_abbrev=False)
     p.add_argument("--d", type=int, required=True, help="number of predictors")
     p.add_argument("--bins", required=True,
                    help="comma-separated bin counts, one per predictor")
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default=None, help="config id to embed (default derived)")
     p.add_argument("--out", required=True, help="config JSON path")
 
-    p = sub.add_parser("report", help="render one summary cell as an SVG chart")
+    p = sub.add_parser("report", help="render one summary cell as an SVG chart", allow_abbrev=False)
     p.add_argument("--in", dest="inp", required=True, help="summary CSV path")
     p.add_argument("--cell", required=True,
                    help="selector config:metric:split, e.g. B:f1:test; the config may hold ':'")

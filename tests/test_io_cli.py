@@ -24,6 +24,7 @@ from woesim.charts import _nice_ticks, _tick_labels
 
 AIV_GRID = tuple(0.5 * i for i in range(1, 15))
 README = Path(__file__).resolve().parents[1] / "README.md"
+CHART_GOLDEN_PATH = Path(__file__).parent / "data" / "chart_golden.svg"
 #: A well-formed config JSON predictor, which each malformed document breaks once.
 GOOD_PREDICTOR = {"name": "X1", "p_event": [0.5, 0.5], "p_nonevent": [0.4, 0.6]}
 
@@ -234,6 +235,26 @@ def test_readme_command_lines_parse(capsys):
             pytest.fail(f"README's `woesim {shlex.join(argv)}` does not parse: {capsys.readouterr().err}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--he"],
+    ["validate", "OUT", "--he"],
+    ["run", "--config", "A", "--it", "2", "--sizes", "60", "--rates", "0.1", "--out", "OUT"],
+    ["summarize", "--in", "results.csv", "--ou", "OUT"],
+    ["guideline", "--in", "summary.csv", "--met", "p4", "--out", "OUT"],
+    ["synth", "--d", "1", "--bins", "3", "--aiv", "0.5", "--se", "1", "--out", "OUT"],
+    ["report", "--in", "summary.csv", "--ce", "B:f1:test", "--out", "OUT"],
+], ids=lambda argv: argv[0])
+def test_a_flag_prefix_is_refused_and_writes_nothing(tmp_path, capsys, argv):
+    # argparse read `--it 2` as `--iters 2`, so a script's typo or a flag
+    # added later could silently set another option
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([str(out) if arg == "OUT" else arg for arg in argv])
+    assert exit_.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: Each kind of output file the package writes, written to a path.
 WRITERS = {
     "config": lambda path: io.save_config(ws.CONFIG_B, path),
@@ -351,6 +372,21 @@ class TestCharts:
         svg = ws.emit_chart(rows, "A&<B>", "f1", "test")
         title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")
         assert title.text == "config A&<B>: f1 (test split)"
+
+    def test_chart_bytes_match_the_pinned_copy(self):
+        # three rates with sizes given out of order, quartiles whose ticks
+        # need two decimals (0.35, 0.45) and an id that must be escaped
+        rows = [
+            ws.SummaryRecord(
+                config_id="A&<B>", aiv=1.5, n=n, event_rate=rate, metric="f1",
+                split="val", median=med, q25=med - 0.02, q75=med + 0.015 + rate / 10,
+                p05=0.0, p95=1.0, n_iter=12, n_nonconverged=0,
+            )
+            for rate, base in ((0.1, 0.42), (0.01, 0.36), (0.05, 0.39))
+            for n, med in ((500, base + 0.06), (50, base), (2500, base + 0.09), (150, base + 0.03))
+        ]
+        svg = ws.emit_chart(rows, "A&<B>", "f1", "val")
+        assert svg == CHART_GOLDEN_PATH.read_text(encoding="utf-8")
 
 
 def over_field_limit(cls) -> bytes:
